@@ -17,7 +17,6 @@ from .fixed_points import (
 from .hessenberg import (
     Hessenberg,
     IncompGraph,
-    ReducedHessenberg,
     delete_vertex,
     enumerate_hessenberg,
     hessenberg_length,
@@ -41,7 +40,6 @@ from .perms import (
     all_perms,
     apply_to_root,
     compose,
-    enumerate_perms,
     front_cycle,
     identity,
     inverse,
@@ -49,9 +47,7 @@ from .perms import (
     is_positive,
     length,
     longest_element,
-    negate,
     positive_roots,
-    simple_reflection,
     validate_perm,
 )
 from .reach import (
@@ -63,6 +59,7 @@ from .reach import (
     sources,
 )
 from .weyl import (
+    InvariantError,
     Orientation,
     WeylSubset,
     class_of,

@@ -9,7 +9,8 @@ Subcommands:
 
 All JSON output uses sorted keys and ends with a newline; identical inputs
 produce byte-identical output regardless of --jobs.  Exit codes: 0 success,
-1 verification failure or route disagreement, 2 usage error.
+1 verification failure or route disagreement, 2 usage error (including an
+unwritable --output).
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .verify import MAX_N, lemma_names, run_suite
 from .weyl import (
     Orientation,
     class_of,
-    enumerate_weyl_subsets,
     make_weyl_subset,
     max_element,
     min_element,
     orientation_of,
+    weyl_subsets_sorted,
 )
 
 
@@ -52,9 +53,10 @@ def _parse_w(text: str) -> Perm:
 
 
 def _parse_root_list(text: str) -> list[tuple[int, int]]:
-    """Semicolon-separated pairs "i,j", each meaning the root t_i - t_j."""
+    """Semicolon-separated pairs "i,j", each meaning the root t_i - t_j; the
+    empty string is the empty subset."""
     roots = []
-    for chunk in text.split(";"):
+    for chunk in text.split(";") if text else ():
         parts = chunk.split(",")
         if len(parts) != 2:
             raise argparse.ArgumentTypeError(f"bad root {chunk!r}: expected \"i,j\"")
@@ -65,38 +67,28 @@ def _parse_root_list(text: str) -> list[tuple[int, int]]:
     return roots
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _emit_json(payload, output: Optional[str]) -> None:
-    _emit(json.dumps(payload, sort_keys=True) + "\n", output)
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _sorted_perms(perms) -> list[list[int]]:
     return [list(p) for p in sorted(perms)]
 
 
-def _cmd_weyl_subsets(args) -> int:
-    records = []
-    for S in sorted(enumerate_weyl_subsets(args.h), key=lambda S: sorted(S.roots)):
-        records.append(
-            {
-                "S": [list(r) for r in sorted(S.roots)],
-                "class_size": len(class_of(S)),
-                "w_max": list(max_element(S)),
-                "z_min": list(min_element(S)),
-            }
-        )
-    _emit_json(records, args.output)
-    return 0
+def _cmd_weyl_subsets(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
+    records = [
+        {
+            "S": [list(r) for r in sorted(S.roots)],
+            "class_size": len(class_of(S)),
+            "w_max": list(max_element(S)),
+            "z_min": list(min_element(S)),
+        }
+        for S in weyl_subsets_sorted(args.h)
+    ]
+    return _json(records), 0
 
 
-def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     if (args.w is None) == (args.S is None):
         parser.error("exactly one of --w and --S is required")
     if args.S is not None:
@@ -111,23 +103,18 @@ def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> int:
             parser.error(f"--w has {len(w)} entries but h has {len(args.h)}")
 
     if args.method == "chl":
-        _emit_json(_sorted_perms(fixed_points_by_reachability(w, args.h)), args.output)
-        return 0
+        return _json(_sorted_perms(fixed_points_by_reachability(w, args.h))), 0
     if args.method == "interval":
-        _emit_json(_sorted_perms(fixed_points_by_translation(w, args.h)), args.output)
-        return 0
+        return _json(_sorted_perms(fixed_points_by_translation(w, args.h))), 0
     direct = fixed_points_by_reachability(w, args.h)
     interval = fixed_points_by_translation(w, args.h)
     agree = direct == interval
-    _emit_json(
-        {
-            "agree": agree,
-            "chl": _sorted_perms(direct),
-            "interval": _sorted_perms(interval),
-        },
-        args.output,
-    )
-    return 0 if agree else 1
+    payload = {
+        "agree": agree,
+        "chl": _sorted_perms(direct),
+        "interval": _sorted_perms(interval),
+    }
+    return _json(payload), 0 if agree else 1
 
 
 def _graph_dot(h: Hessenberg, o: Optional[Orientation]) -> str:
@@ -145,7 +132,7 @@ def _graph_dot(h: Hessenberg, o: Optional[Orientation]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_graph(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_graph(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     o = None
     if args.S is not None:
         try:
@@ -153,8 +140,7 @@ def _cmd_graph(args, parser: argparse.ArgumentParser) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     if args.format == "dot":
-        _emit(_graph_dot(args.h, o), args.output)
-        return 0
+        return _graph_dot(args.h, o), 0
     payload = {
         "h": list(args.h),
         "n": len(args.h),
@@ -162,16 +148,17 @@ def _cmd_graph(args, parser: argparse.ArgumentParser) -> int:
     }
     if o is not None:
         payload["arcs"] = [list(a) for a in sorted(o.arcs())]
-    _emit_json(payload, args.output)
-    return 0
+    return _json(payload), 0
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     if args.n is None and args.max_n is None:
         parser.error("one of --n and --max-n is required")
     top = args.n if args.n is not None else args.max_n
     if not 1 <= top <= MAX_N:
         parser.error(f"rank must be between 1 and {MAX_N}, got {top}")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     ranks = [args.n] if args.n is not None else list(range(1, args.max_n + 1))
     summaries = []
     discrepancies = []
@@ -179,10 +166,10 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         summary, found = run_suite(n, lemma=args.paper_lemma, jobs=args.jobs)
         summaries.append(summary)
         discrepancies.extend(found)
-    _emit_json(summaries[0] if args.n is not None else summaries, args.output)
     for record in discrepancies:
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-    return 0 if not discrepancies else 1
+    payload = summaries[0] if args.n is not None else summaries
+    return _json(payload), 0 if not discrepancies else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_parse_w, metavar="W",
                    help="permutation in one-line notation, e.g. 2,3,1,4")
     p.add_argument("--S", type=_parse_root_list, metavar="S",
-                   help="Weyl-type subset as semicolon-separated roots, e.g. \"2,3;1,3\"")
+                   help="Weyl-type subset as semicolon-separated roots, e.g. "
+                        "\"2,3;1,3\"; \"\" is the empty subset")
     p.add_argument("--method", choices=("chl", "interval", "both"), default="both",
                    help="chl: reachability route; interval: translated Bruhat "
                         "interval route; both: run both and compare")
@@ -241,16 +229,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "weyl-subsets": _cmd_weyl_subsets,
+    "fixed-points": _cmd_fixed_points,
+    "graph": _cmd_graph,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "weyl-subsets":
-        return _cmd_weyl_subsets(args)
-    if args.command == "fixed-points":
-        return _cmd_fixed_points(args, parser)
-    if args.command == "graph":
-        return _cmd_graph(args, parser)
-    return _cmd_verify(args, parser)
+    text, code = _COMMANDS[args.command](args, parser)
+    if args.output is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write --output {args.output}: {exc.strerror}")
+    return code
 
 
 if __name__ == "__main__":

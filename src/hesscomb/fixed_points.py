@@ -25,7 +25,7 @@ from .perms import (
     longest_element,
 )
 from .reach import reachable_tuples
-from .weyl import WeylSubset, max_element, min_element, weyl_subset_of
+from .weyl import InvariantError, WeylSubset, max_element, min_element, weyl_subset_of
 
 
 @lru_cache(maxsize=4096)
@@ -67,7 +67,10 @@ def fixed_points_by_translation(v: Perm, h: Hessenberg) -> frozenset[Perm]:
     S = weyl_subset_of(v, h)
     m = max_element(S)
     u = compose(v, inverse(m))
-    assert length(m) == length(v) + length(u)
+    if length(m) != length(v) + length(u):
+        raise InvariantError(
+            f"length identity fails: len(m) != len(v) + len(u) for v = {list(v)}, m = {list(m)}"
+        )
     top = longest_element(len(v))
     return frozenset(compose(u, x) for x in bruhat_interval(m, top))
 

@@ -81,27 +81,14 @@ def incomparability_graph(h: Hessenberg) -> IncompGraph:
     return IncompGraph(h=tuple(h), edges=hessenberg_roots(tuple(h)))
 
 
-@dataclass(frozen=True)
-class ReducedHessenberg:
-    """Hessenberg function left after deleting one vertex.
-
-    values     the function on the survivors, relabeled 1..n-1 in increasing
-               original order
-    survivors  survivors[t-1] is the original vertex now labeled t; adding 1
-               to every new label recovers the convention where survivors
-               are labeled 2..n
-    """
-
-    values: Hessenberg
-    survivors: tuple[int, ...]
-
-
-def delete_vertex(h: Hessenberg, k: int) -> ReducedHessenberg:
+def delete_vertex(h: Hessenberg, k: int) -> Hessenberg:
     """Delete vertex k from the incomparability graph of h.
 
-    Computed on the staircase diagram (box (i, j) present iff i <= h(j)) by
-    removing row k and column k and reading off the new column heights; the
-    graph of the result is the vertex-deleted graph under the relabeling.
+    The result is the Hessenberg function on the surviving vertices,
+    relabeled 1..n-1 in increasing original order.  Computed on the
+    staircase diagram (box (i, j) present iff i <= h(j)) by removing row k
+    and column k and reading off the new column heights; the graph of the
+    result is the vertex-deleted graph under the relabeling.
     """
     n = len(h)
     if not 1 <= k <= n:
@@ -111,8 +98,7 @@ def delete_vertex(h: Hessenberg, k: int) -> ReducedHessenberg:
     values = tuple(
         v - 1 if v >= k else v for j, v in enumerate(h, start=1) if j != k
     )
-    survivors = tuple(j for j in range(1, n + 1) if j != k)
-    return ReducedHessenberg(validate_hessenberg(values), survivors)
+    return validate_hessenberg(values)
 
 
 def enumerate_hessenberg(n: int) -> Iterator[Hessenberg]:

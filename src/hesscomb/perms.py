@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Perm = tuple[int, ...]
 Root = tuple[int, int]
@@ -47,15 +47,6 @@ def longest_element(n: int) -> Perm:
     return tuple(range(n, 0, -1))
 
 
-def simple_reflection(n: int, i: int) -> Perm:
-    """The adjacent transposition swapping i and i + 1."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"simple reflection index out of range: {i}")
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
 def front_cycle(n: int, k: int) -> Perm:
     """The cycle [2, 3, ..., k, 1, k+1, ..., n] sending i to i + 1 for i < k
     and k to 1; equal to the product of the first k - 1 simple reflections
@@ -72,7 +63,7 @@ def front_cycle(n: int, k: int) -> Perm:
 def compose(a: Perm, b: Perm) -> Perm:
     """The product a b, acting as x -> a(b(x)).
 
-    >>> compose(simple_reflection(4, 1), simple_reflection(4, 2))
+    >>> compose((2, 1, 3, 4), (1, 3, 2, 4))
     (2, 3, 1, 4)
     """
     if len(a) != len(b):
@@ -103,11 +94,6 @@ def is_positive(r: Root) -> bool:
     return r[0] < r[1]
 
 
-def negate(r: Root) -> Root:
-    """The negative of a root swaps its endpoints."""
-    return (r[1], r[0])
-
-
 @lru_cache(maxsize=None)
 def positive_roots(n: int) -> frozenset[Root]:
     """All pairs (i, j) with 1 <= i < j <= n."""
@@ -136,14 +122,10 @@ def length(w: Perm) -> int:
     return len(inversion_set(w))
 
 
-def enumerate_perms(n: int) -> Iterator[Perm]:
-    """All n! permutations of [n], in lexicographic one-line order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return itertools.permutations(range(1, n + 1))
-
-
 @lru_cache(maxsize=None)
 def all_perms(n: int) -> tuple[Perm, ...]:
-    """enumerate_perms(n) materialized once and cached."""
-    return tuple(enumerate_perms(n))
+    """All n! permutations of [n], in lexicographic one-line order,
+    materialized once and cached."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return tuple(itertools.permutations(range(1, n + 1)))

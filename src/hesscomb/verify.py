@@ -6,14 +6,23 @@ records; the CLI `verify` command aggregates them into a summary.  Checks
 are registered under stable kebab-case names so a single one can be run in
 isolation.  Units of work are (check, h) pairs, so sweeps parallelize over
 a process pool with order-independent, deterministic aggregation.
+
+Verdict protocol: a check is a generator over one rank n (registered with
+per_h=False) or one Hessenberg function h of rank n.  It yields one
+(S, ok) verdict per checked instance, where S is the Weyl-type subset the
+instance belongs to, or None when the instance covers a whole rank or a
+whole h.  The `_check` decorator registers the generator under its name and
+turns it into a callable returning (checked, failures): the number of
+verdicts, and one record per verdict with ok false.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .fixed_points import (
     fixed_points_by_interval,
@@ -58,12 +67,17 @@ from .weyl import (
     min_element,
     orientation_of,
     weyl_subset_of,
+    weyl_subsets_sorted,
 )
 
 MAX_N = 6
 
 Failure = dict
 CheckResult = tuple[int, list[Failure]]
+Verdicts = Iterator[tuple[Optional[WeylSubset], bool]]
+
+GLOBAL_CHECKS: dict[str, Callable[[int], CheckResult]] = {}
+PER_H_CHECKS: dict[str, Callable[[int, Hessenberg], CheckResult]] = {}
 
 
 def _fail(n: int, operation: str, h: Optional[Hessenberg] = None,
@@ -76,115 +90,108 @@ def _fail(n: int, operation: str, h: Optional[Hessenberg] = None,
     }
 
 
-def weyl_subsets_sorted(h: Hessenberg) -> list[WeylSubset]:
-    """The Weyl-type subsets of h in a reproducible order."""
-    return sorted(enumerate_weyl_subsets(h), key=lambda S: sorted(S.roots))
+def _check(name: str, per_h: bool = True):
+    """Register a verdict generator under name, in PER_H_CHECKS when it
+    takes (n, h) and in GLOBAL_CHECKS when it takes n alone."""
+
+    def register(verdicts: Callable[..., Verdicts]) -> Callable[..., Verdicts]:
+        def run(n: int, *h: Hessenberg) -> CheckResult:
+            # h is empty for a rank-global check
+            checked = 0
+            failures = []
+            for S, ok in verdicts(n, *h):
+                checked += 1
+                if not ok:
+                    failures.append(_fail(n, name, *h, S=S))
+            return checked, failures
+
+        (PER_H_CHECKS if per_h else GLOBAL_CHECKS)[name] = run
+        return verdicts
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # rank-global checks (no Hessenberg function involved)
 
-def _check_complement_involution(n: int) -> CheckResult:
+@_check("complement-involution", per_h=False)
+def _complement_involution(n: int) -> Verdicts:
     w0 = longest_element(n)
     top = length(w0)
     pos = positive_roots(n)
-    failures = []
     for w in all_perms(n):
         flip = compose(w0, w)
-        if length(w) + length(flip) != top or inversion_set(flip) != pos - inversion_set(w):
-            failures.append(_fail(n, "complement-involution"))
-    return len(all_perms(n)), failures
+        yield None, (length(w) + length(flip) == top
+                     and inversion_set(flip) == pos - inversion_set(w))
 
 
-def _check_inversion_root_action(n: int) -> CheckResult:
+@_check("inversion-root-action", per_h=False)
+def _inversion_root_action(n: int) -> Verdicts:
     pos = positive_roots(n)
-    failures = []
     for w in all_perms(n):
         inv = inversion_set(w)
-        if any((r in inv) != (not is_positive(apply_to_root(w, r))) for r in pos):
-            failures.append(_fail(n, "inversion-root-action"))
-    return len(all_perms(n)), failures
+        yield None, all((r in inv) == (not is_positive(apply_to_root(w, r))) for r in pos)
 
 
-def _check_enumeration_count(n: int) -> CheckResult:
+@_check("enumeration-count", per_h=False)
+def _enumeration_count(n: int) -> Verdicts:
     perms = all_perms(n)
-    ok = len(perms) == math.factorial(n) == len(set(perms))
-    return 1, [] if ok else [_fail(n, "enumeration-count")]
+    yield None, len(perms) == math.factorial(n) == len(set(perms))
 
 
-def _bruhat_up_masks(n: int) -> tuple[tuple, list[int]]:
+@_check("bruhat-partial-order", per_h=False)
+def _bruhat_partial_order(n: int) -> Verdicts:
+    # up[i] has bit j set when perms[i] <= perms[j]; one verdict per pair
+    # covers reflexivity, antisymmetry and transitivity at once
     perms = all_perms(n)
-    index = {p: i for i, p in enumerate(perms)}
-    up = [0] * len(perms)
-    for w in perms:
-        bits = 0
-        for v in perms:
-            if bruhat_leq(w, v):
-                bits |= 1 << index[v]
-        up[index[w]] = bits
-    return perms, up
+    up = [sum(1 << j for j, v in enumerate(perms) if bruhat_leq(w, v)) for w in perms]
+    for i, above_i in enumerate(up):
+        for j, above_j in enumerate(up):
+            if above_i >> j & 1:
+                yield None, (i == j or not above_j >> i & 1) and not above_j & ~above_i
+            else:
+                yield None, i != j
 
 
-def _check_bruhat_partial_order(n: int) -> CheckResult:
-    perms, up = _bruhat_up_masks(n)
-    failures = []
-    for i, w in enumerate(perms):
-        if not up[i] >> i & 1:
-            failures.append(_fail(n, "bruhat-partial-order"))
-        for j in range(len(perms)):
-            if up[i] >> j & 1:
-                if i != j and up[j] >> i & 1:  # antisymmetry
-                    failures.append(_fail(n, "bruhat-partial-order"))
-                if up[j] & ~up[i]:  # transitivity
-                    failures.append(_fail(n, "bruhat-partial-order"))
-    return len(perms) ** 2, failures
-
-
-def _check_bruhat_oracle(n: int) -> CheckResult:
+@_check("bruhat-oracle", per_h=False)
+def _bruhat_oracle(n: int) -> Verdicts:
     perms = all_perms(n)
-    failures = []
     for w in perms:
         for v in perms:
-            if bruhat_leq(w, v) != bruhat_leq_by_covers(w, v):
-                failures.append(_fail(n, "bruhat-oracle"))
-    return len(perms) ** 2, failures
+            yield None, bruhat_leq(w, v) == bruhat_leq_by_covers(w, v)
 
 
-def _check_weak_implies_bruhat(n: int) -> CheckResult:
+@_check("weak-implies-bruhat", per_h=False)
+def _weak_implies_bruhat(n: int) -> Verdicts:
     perms = all_perms(n)
-    failures = []
     for u in perms:
         for v in perms:
-            if weak_left_leq(u, v) and not bruhat_leq(u, v):
-                failures.append(_fail(n, "weak-implies-bruhat"))
-    return len(perms) ** 2, failures
+            yield None, not weak_left_leq(u, v) or bruhat_leq(u, v)
 
 
-def _check_weak_order_reversal(n: int) -> CheckResult:
+@_check("weak-order-reversal", per_h=False)
+def _weak_order_reversal(n: int) -> Verdicts:
     perms = all_perms(n)
     w0 = longest_element(n)
-    failures = []
     for u in perms:
         for v in perms:
-            if weak_left_leq(u, v) != weak_left_leq(compose(w0, v), compose(w0, u)):
-                failures.append(_fail(n, "weak-order-reversal"))
-    return len(perms) ** 2, failures
+            yield None, weak_left_leq(u, v) == weak_left_leq(compose(w0, v), compose(w0, u))
 
 
 # ---------------------------------------------------------------------------
 # per-Hessenberg-function checks
 
-def _check_dimension_count(n: int, h: Hessenberg) -> CheckResult:
-    ok = (
+@_check("dimension-count")
+def _dimension_count(n: int, h: Hessenberg) -> Verdicts:
+    yield None, (
         len(hessenberg_roots(h))
         == total_dimension(h)
         == len(incomparability_graph(h).edges)
     )
-    return 1, [] if ok else [_fail(n, "dimension-count", h)]
 
 
-def _check_hessenberg_length(n: int, h: Hessenberg) -> CheckResult:
-    failures = []
+@_check("hessenberg-length")
+def _hessenberg_length(n: int, h: Hessenberg) -> Verdicts:
     for w in all_perms(n):
         direct = sum(
             1
@@ -192,15 +199,13 @@ def _check_hessenberg_length(n: int, h: Hessenberg) -> CheckResult:
             for j in range(i + 1, h[i - 1] + 1)
             if w[i - 1] > w[j - 1]
         )
-        if hessenberg_length(w, h) != direct:
-            failures.append(_fail(n, "hessenberg-length", h))
-    return len(all_perms(n)), failures
+        yield None, hessenberg_length(w, h) == direct
 
 
-def _check_vertex_deletion(n: int, h: Hessenberg) -> CheckResult:
+@_check("vertex-deletion")
+def _vertex_deletion(n: int, h: Hessenberg) -> Verdicts:
     if n == 1:
-        return 0, []
-    failures = []
+        return
     edges = incomparability_graph(h).edges
     for k in range(1, n + 1):
         reduced = delete_vertex(h, k)
@@ -209,7 +214,7 @@ def _check_vertex_deletion(n: int, h: Hessenberg) -> CheckResult:
             for e in edges
             if k not in e
         )
-        graph_ok = incomparability_graph(reduced.values).edges == survived
+        graph_ok = incomparability_graph(reduced).edges == survived
 
         # shifted-label identity: the roots of the reduced function, pushed
         # to labels 2..n, must equal the front-cycle image of the original
@@ -220,140 +225,106 @@ def _check_vertex_deletion(n: int, h: Hessenberg) -> CheckResult:
             for r in hessenberg_roots(h)
             if k not in r
         )
-        shifted = frozenset((a + 1, b + 1) for a, b in hessenberg_roots(reduced.values))
-        if not graph_ok or moved != shifted:
-            failures.append(_fail(n, "vertex-deletion", h))
-    return n, failures
+        shifted = frozenset((a + 1, b + 1) for a, b in hessenberg_roots(reduced))
+        yield None, graph_ok and moved == shifted
 
 
-def _check_partition(n: int, h: Hessenberg) -> CheckResult:
-    subsets = weyl_subsets_sorted(h)
-    classes = [class_of(S) for S in subsets]
-    union: set = set()
-    total = 0
-    for cls in classes:
-        total += len(cls)
-        union |= cls
-    ok = total == math.factorial(n) and union == set(all_perms(n))
-    return len(subsets), [] if ok else [_fail(n, "partition", h)]
+@_check("partition")
+def _partition(n: int, h: Hessenberg) -> Verdicts:
+    # one verdict for the whole h, counted once per class
+    classes = [class_of(S) for S in enumerate_weyl_subsets(h)]
+    ok = (sum(map(len, classes)) == math.factorial(n)
+          and set().union(*classes) == set(all_perms(n)))
+    for _ in classes:
+        yield None, ok
 
 
-def _check_interval(n: int, h: Hessenberg) -> CheckResult:
-    failures = []
-    subsets = weyl_subsets_sorted(h)
-    for S in subsets:
-        if class_of(S) != class_by_filter(S):
-            failures.append(_fail(n, "interval", h, S))
-    return len(subsets), failures
+@_check("interval")
+def _interval(n: int, h: Hessenberg) -> Verdicts:
+    for S in weyl_subsets_sorted(h):
+        yield S, class_of(S) == class_by_filter(S)
 
 
-def _check_complement_bijection(n: int, h: Hessenberg) -> CheckResult:
+@_check("complement-bijection")
+def _complement_bijection(n: int, h: Hessenberg) -> Verdicts:
     w0 = longest_element(n)
-    failures = []
-    subsets = weyl_subsets_sorted(h)
-    for S in subsets:
+    for S in weyl_subsets_sorted(h):
         flipped = frozenset(compose(w0, w) for w in class_of(S))
-        if flipped != class_of(complement(S)):
-            failures.append(_fail(n, "complement-bijection", h, S))
-    return len(subsets), failures
+        yield S, flipped == class_of(complement(S))
 
 
-def _check_minimal_inversions(n: int, h: Hessenberg) -> CheckResult:
-    failures = []
-    subsets = weyl_subsets_sorted(h)
-    for S in subsets:
+@_check("minimal-inversions")
+def _minimal_inversions(n: int, h: Hessenberg) -> Verdicts:
+    for S in weyl_subsets_sorted(h):
         low = inversion_set(min_element(S))
-        for y in all_perms(n):
-            if S.roots <= inversion_set(y) and not low <= inversion_set(y):
-                failures.append(_fail(n, "minimal-inversions", h, S))
-                break
-    return len(subsets), failures
+        yield S, all(
+            low <= inversion_set(y)
+            for y in all_perms(n)
+            if S.roots <= inversion_set(y)
+        )
 
 
-def _check_orientation_bijection(n: int, h: Hessenberg) -> CheckResult:
+@_check("orientation-bijection")
+def _orientation_bijection(n: int, h: Hessenberg) -> Verdicts:
     produced = frozenset(orientation_of(S) for S in enumerate_weyl_subsets(h))
-    enumerated = acyclic_orientations_by_enumeration(incomparability_graph(h))
-    return 1, [] if produced == enumerated else [_fail(n, "orientation-bijection", h)]
+    yield None, produced == acyclic_orientations_by_enumeration(incomparability_graph(h))
 
 
-def _check_source_induction(n: int, h: Hessenberg) -> CheckResult:
+@_check("source-induction")
+def _source_induction(n: int, h: Hessenberg) -> Verdicts:
     if n == 1:
-        return 0, []
-    checked = 0
-    failures = []
+        return
     for S in weyl_subsets_sorted(h):
         cls = class_of(S)
         for k in sorted(sources(orientation_of(S))):
-            checked += 1
             reduced_cls = class_of(induced_subset(S, k))
             cyc = front_cycle(n, k)
-            ok = True
-            for y in all_perms(n - 1):
-                lift = (1,) + tuple(v + 1 for v in y)
-                if (compose(lift, cyc) in cls) != (y in reduced_cls):
-                    ok = False
-                    break
-            if not ok:
-                failures.append(_fail(n, "source-induction", h, S))
-    return checked, failures
+            yield S, all(
+                (compose((1,) + tuple(v + 1 for v in y), cyc) in cls) == (y in reduced_cls)
+                for y in all_perms(n - 1)
+            )
 
 
-def _check_reachability_order(n: int, h: Hessenberg) -> CheckResult:
-    checked = 0
-    failures = []
+@_check("reachability-order")
+def _reachability_order(n: int, h: Hessenberg) -> Verdicts:
     for S in weyl_subsets_sorted(h):
         o = orientation_of(S)
         m = max_element(S)
         for j in range(1, n + 1):
             for i in range(j, n + 1):
-                checked += 1
-                if is_reachable(j, i, o) != (m[j - 1] <= m[i - 1]):
-                    failures.append(_fail(n, "reachability-order", h, S))
-    return checked, failures
+                yield S, is_reachable(j, i, o) == (m[j - 1] <= m[i - 1])
 
 
-def _check_largest_source_reach(n: int, h: Hessenberg) -> CheckResult:
-    failures = []
-    subsets = weyl_subsets_sorted(h)
-    for S in subsets:
+@_check("largest-source-reach")
+def _largest_source_reach(n: int, h: Hessenberg) -> Verdicts:
+    for S in weyl_subsets_sorted(h):
         o = orientation_of(S)
         k = largest_source(o)
-        if not all(is_reachable(k, i, o) for i in range(k + 1, n + 1)):
-            failures.append(_fail(n, "largest-source-reach", h, S))
-    return len(subsets), failures
+        yield S, all(is_reachable(k, i, o) for i in range(k + 1, n + 1))
 
 
-def _check_reachable_monotone(n: int, h: Hessenberg) -> CheckResult:
-    failures = []
-    subsets = weyl_subsets_sorted(h)
-    for S in subsets:
+@_check("reachable-monotone")
+def _reachable_monotone(n: int, h: Hessenberg) -> Verdicts:
+    for S in weyl_subsets_sorted(h):
         o = orientation_of(S)
         cls = class_of(S)
-        ok = all(
+        yield S, all(
             w[j - 1] <= w[i - 1]
             for j in range(1, n + 1)
             for i in range(j, n + 1)
             if is_reachable(j, i, o)
             for w in cls
         )
-        if not ok:
-            failures.append(_fail(n, "reachable-monotone", h, S))
-    return len(subsets), failures
 
 
-def _check_source_realization(n: int, h: Hessenberg) -> CheckResult:
-    failures = []
-    subsets = weyl_subsets_sorted(h)
-    for S in subsets:
-        realized = {w.index(1) + 1 for w in class_of(S)}
-        if realized != sources(orientation_of(S)):
-            failures.append(_fail(n, "source-realization", h, S))
-    return len(subsets), failures
+@_check("source-realization")
+def _source_realization(n: int, h: Hessenberg) -> Verdicts:
+    for S in weyl_subsets_sorted(h):
+        yield S, {w.index(1) + 1 for w in class_of(S)} == sources(orientation_of(S))
 
 
-def _check_j_set_formula(n: int, h: Hessenberg) -> CheckResult:
-    checked = 0
-    failures = []
+@_check("j-set-formula")
+def _j_set_formula(n: int, h: Hessenberg) -> Verdicts:
     for S in weyl_subsets_sorted(h):
         m = max_element(S)
         cls = class_of(S)
@@ -365,100 +336,51 @@ def _check_j_set_formula(n: int, h: Hessenberg) -> CheckResult:
                 if ktuple_leq(base, sort_action(m, t))
             )
             for w in cls:
-                checked += 1
-                if reachable_tuples(w, h, k) != formula:
-                    failures.append(_fail(n, "j-set-formula", h, S))
-    return checked, failures
+                yield S, reachable_tuples(w, h, k) == formula
 
 
-def _check_main_theorem(n: int, h: Hessenberg) -> CheckResult:
+@_check("main-theorem")
+def _main_theorem(n: int, h: Hessenberg) -> Verdicts:
     w0 = longest_element(n)
-    failures = []
-    subsets = weyl_subsets_sorted(h)
-    for S in subsets:
+    for S in weyl_subsets_sorted(h):
         m = max_element(S)
-        if fixed_points_by_reachability(m, h) != bruhat_interval(m, w0):
-            failures.append(_fail(n, "main-theorem", h, S))
-    return len(subsets), failures
+        yield S, fixed_points_by_reachability(m, h) == bruhat_interval(m, w0)
 
 
-def _check_cell_translation(n: int, h: Hessenberg) -> CheckResult:
-    failures = []
+@_check("cell-translation")
+def _cell_translation(n: int, h: Hessenberg) -> Verdicts:
     for v in all_perms(n):
-        if fixed_points_by_translation(v, h) != fixed_points_by_reachability(v, h):
-            failures.append(_fail(n, "cell-translation", h, weyl_subset_of(v, h)))
-    return len(all_perms(n)), failures
+        yield weyl_subset_of(v, h), (
+            fixed_points_by_translation(v, h) == fixed_points_by_reachability(v, h)
+        )
 
 
-def _check_fixed_point_containment(n: int, h: Hessenberg) -> CheckResult:
+@_check("fixed-point-containment")
+def _fixed_point_containment(n: int, h: Hessenberg) -> Verdicts:
     w0 = longest_element(n)
-    failures = []
     for v in all_perms(n):
-        if not fixed_points_by_reachability(v, h) <= bruhat_interval(v, w0):
-            failures.append(_fail(n, "fixed-point-containment", h, weyl_subset_of(v, h)))
-    return len(all_perms(n)), failures
+        yield weyl_subset_of(v, h), (
+            fixed_points_by_reachability(v, h) <= bruhat_interval(v, w0)
+        )
 
 
-def _check_strict_containment(n: int, h: Hessenberg) -> CheckResult:
+@_check("strict-containment")
+def _strict_containment(n: int, h: Hessenberg) -> Verdicts:
     w0 = longest_element(n)
-    checked = 0
-    failures = []
     for v in all_perms(n):
         S = weyl_subset_of(v, h)
-        if v == max_element(S):
-            continue
-        checked += 1
-        pts = fixed_points_by_reachability(v, h)
-        interval = bruhat_interval(v, w0)
-        if not (pts <= interval and pts != interval):
-            failures.append(_fail(n, "strict-containment", h, S))
-    return checked, failures
+        if v != max_element(S):
+            yield S, fixed_points_by_reachability(v, h) < bruhat_interval(v, w0)
 
 
-def _check_schubert_duality(n: int, h: Hessenberg) -> CheckResult:
+@_check("schubert-duality")
+def _schubert_duality(n: int, h: Hessenberg) -> Verdicts:
     w0 = longest_element(n)
-    failures = []
-    subsets = weyl_subsets_sorted(h)
-    for S in subsets:
+    for S in weyl_subsets_sorted(h):
         translated = frozenset(
             compose(w0, u) for u in fixed_points_by_interval(complement(S))
         )
-        if schubert_fixed_points(S) != translated:
-            failures.append(_fail(n, "schubert-duality", h, S))
-    return len(subsets), failures
-
-
-GLOBAL_CHECKS: dict[str, Callable[[int], CheckResult]] = {
-    "complement-involution": _check_complement_involution,
-    "inversion-root-action": _check_inversion_root_action,
-    "enumeration-count": _check_enumeration_count,
-    "bruhat-partial-order": _check_bruhat_partial_order,
-    "bruhat-oracle": _check_bruhat_oracle,
-    "weak-implies-bruhat": _check_weak_implies_bruhat,
-    "weak-order-reversal": _check_weak_order_reversal,
-}
-
-PER_H_CHECKS: dict[str, Callable[[int, Hessenberg], CheckResult]] = {
-    "dimension-count": _check_dimension_count,
-    "hessenberg-length": _check_hessenberg_length,
-    "vertex-deletion": _check_vertex_deletion,
-    "partition": _check_partition,
-    "interval": _check_interval,
-    "complement-bijection": _check_complement_bijection,
-    "minimal-inversions": _check_minimal_inversions,
-    "orientation-bijection": _check_orientation_bijection,
-    "source-induction": _check_source_induction,
-    "reachability-order": _check_reachability_order,
-    "largest-source-reach": _check_largest_source_reach,
-    "reachable-monotone": _check_reachable_monotone,
-    "source-realization": _check_source_realization,
-    "j-set-formula": _check_j_set_formula,
-    "main-theorem": _check_main_theorem,
-    "cell-translation": _check_cell_translation,
-    "fixed-point-containment": _check_fixed_point_containment,
-    "strict-containment": _check_strict_containment,
-    "schubert-duality": _check_schubert_duality,
-}
+        yield S, schubert_fixed_points(S) == translated
 
 
 def lemma_names() -> list[str]:
@@ -480,12 +402,15 @@ def run_suite(n: int, lemma: Optional[str] = None, jobs: int = 1):
     The summary maps each check to instance and failure counts; the
     discrepancy list holds one (n, h, S, operation) record per failure.
     Aggregation follows the fixed unit order, so output is identical for
-    any job count.
+    any job count.  At most min(jobs, CPU count, unit count) worker
+    processes run.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"rank must be between 1 and {MAX_N}, got {n}")
     if lemma is not None and lemma not in GLOBAL_CHECKS and lemma not in PER_H_CHECKS:
         raise ValueError(f"unknown check {lemma!r}; known: {', '.join(lemma_names())}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = [lemma] if lemma is not None else lemma_names()
     hs = tuple(enumerate_hessenberg(n))
     units: list[tuple] = []
@@ -494,8 +419,9 @@ def run_suite(n: int, lemma: Optional[str] = None, jobs: int = 1):
             units.append((name, n, None))
         else:
             units.extend((name, n, h) for h in hs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(units))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_unit, units, chunksize=4))
     else:
         results = [_run_unit(u) for u in units]

@@ -42,6 +42,11 @@ from .perms import (
 )
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency condition failed; this signals a bug in the
+    library, never bad input."""
+
+
 @dataclass(frozen=True)
 class WeylSubset:
     """A Weyl-type subset of the roots selected by h."""
@@ -149,7 +154,8 @@ def weyl_subset_of(w: Perm, h: Hessenberg) -> WeylSubset:
     if len(w) != len(h):
         raise ValueError(f"size mismatch: {len(w)} vs {len(h)}")
     S = WeylSubset(roots=inversion_set(w) & hessenberg_roots(h), h=tuple(h))
-    assert is_weyl_type(S.roots, S.h)
+    if not is_weyl_type(S.roots, S.h):
+        raise InvariantError(f"N({list(w)}) & roots of h = {list(h)} is not of Weyl type")
     return S
 
 
@@ -158,6 +164,11 @@ def enumerate_weyl_subsets(h: Hessenberg) -> frozenset[WeylSubset]:
     """All Weyl-type subsets for h, as the deduplicated image of the
     symmetric group under w -> N(w) & (selected roots)."""
     return frozenset(weyl_subset_of(w, h) for w in all_perms(len(h)))
+
+
+def weyl_subsets_sorted(h: Hessenberg) -> list[WeylSubset]:
+    """The Weyl-type subsets of h, ordered by their sorted root lists."""
+    return sorted(enumerate_weyl_subsets(h), key=lambda S: sorted(S.roots))
 
 
 def complement(S: WeylSubset) -> WeylSubset:
@@ -177,7 +188,8 @@ def subset_of_orientation(o: Orientation) -> WeylSubset:
     if not is_acyclic(o):
         raise ValueError("orientation has a directed cycle")
     S = WeylSubset(roots=o.left, h=o.graph.h)
-    assert is_weyl_type(S.roots, S.h)
+    if not is_weyl_type(S.roots, S.h):
+        raise InvariantError("an acyclic orientation gave a subset not of Weyl type")
     return S
 
 
@@ -211,13 +223,15 @@ def min_element(S: WeylSubset) -> Perm:
     w0 = longest_element(S.n)
     z = compose(w0, max_element(complement(S)))
     allowed = hessenberg_roots(S.h)
-    assert inversion_set(z) & allowed == S.roots
+    if inversion_set(z) & allowed != S.roots:
+        raise InvariantError(f"class minimum {list(z)} does not have the roots of S")
     # minimality criterion: z^{-1} applied to each negative simple root,
     # whenever positive, must be a selected root
     zinv = inverse(z)
     for i in range(1, S.n):
         a, b = zinv[i], zinv[i - 1]
-        assert not a < b or (a, b) in allowed
+        if a < b and (a, b) not in allowed:
+            raise InvariantError(f"class minimum {list(z)} fails the minimality criterion")
     return z
 
 
@@ -245,6 +259,7 @@ def induced_subset(S: WeylSubset, k: int) -> WeylSubset:
     roots = frozenset(
         (relabel(a), relabel(b)) for a, b in S.roots if a != k and b != k
     )
-    out = WeylSubset(roots=roots, h=reduced.values)
-    assert is_weyl_type(out.roots, out.h)
+    out = WeylSubset(roots=roots, h=reduced)
+    if not is_weyl_type(out.roots, out.h):
+        raise InvariantError(f"S with vertex {k} deleted is not of Weyl type")
     return out

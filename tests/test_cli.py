@@ -1,6 +1,7 @@
 """Command line interface: output formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -88,6 +89,16 @@ class TestFixedPoints:
         assert code == 0
         assert len(json.loads(out)) == 12
 
+    def test_empty_subset(self, capsys):
+        # for h = (3,4,4,4) the empty subset's class is the identity alone
+        code, out, _ = run_cli(
+            ["fixed-points", "--h", "3,4,4,4", "--S", "", "--method", "both"], capsys
+        )
+        assert code == 0
+        _, by_w, _ = run_cli(["fixed-points", "--h", "3,4,4,4", "--w", "1,2,3,4"], capsys)
+        assert out == by_w
+        assert len(json.loads(out)["chl"]) == 24
+
     def test_requires_exactly_one_of_w_and_s(self, capsys):
         code, _, _ = run_cli(["fixed-points", "--h", "3,4,4,4"], capsys)
         assert code == 2
@@ -151,6 +162,14 @@ class TestGraph:
         _, out, _ = run_cli(["graph", "--h", "1,2,3", "--format", "json"], capsys)
         assert json.loads(out)["edges"] == []
 
+    def test_empty_subset_points_every_edge_up(self, capsys):
+        code, out, _ = run_cli(
+            ["graph", "--h", "2,4,4,4", "--S", "", "--format", "json"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["arcs"] == payload["edges"]
+
     def test_non_weyl_subset_diagnosed(self, capsys):
         code, _, err = run_cli(
             ["graph", "--h", "3,4,4,4", "--S", "1,2;2,3", "--format", "dot"], capsys
@@ -198,6 +217,13 @@ class TestVerify:
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 2
 
+    def test_jobs_below_one_is_usage_error(self, capsys):
+        for jobs in ("0", "-2"):
+            code, out, err = run_cli(["verify", "--n", "2", "--jobs", jobs], capsys)
+            assert code == 2
+            assert out == ""
+            assert "--jobs" in err
+
     def test_jobs_do_not_change_output(self, capsys):
         _, serial, _ = run_cli(["verify", "--n", "3"], capsys)
         _, parallel, _ = run_cli(["verify", "--n", "3", "--jobs", "2"], capsys)
@@ -237,6 +263,16 @@ class TestOutputPlumbing:
         _, direct, _ = run_cli(["graph", "--h", "2,4,4,4"], capsys)
         assert target.read_text(encoding="utf-8") == direct
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "graph.json"
+        code, out, err = run_cli(
+            ["graph", "--h", "2,4,4,4", "--output", str(target)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot write --output" in err
+        assert "Traceback" not in err
+
     def test_repeat_runs_byte_identical(self, capsys):
         _, first, _ = run_cli(["weyl-subsets", "--h", "3,4,4,4"], capsys)
         _, second, _ = run_cli(["weyl-subsets", "--h", "3,4,4,4"], capsys)
@@ -258,7 +294,7 @@ class TestOutputPlumbing:
             subprocess.run(
                 [sys.executable, "-m", "hesscomb", "weyl-subsets", "--h", "3,4,4,4"],
                 capture_output=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+                env={**os.environ, "PYTHONHASHSEED": seed},
             )
             for seed in ("1", "2")
         ]

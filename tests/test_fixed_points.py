@@ -1,5 +1,9 @@
 """Fixed point sets by reachability and by (translated) Bruhat intervals."""
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from hesscomb.fixed_points import (
@@ -150,3 +154,30 @@ class TestContainment:
                 pts = fixed_points_by_reachability(v, h)
                 interval = bruhat_interval(v, w0)
                 assert pts < interval
+
+
+def test_invariant_survives_optimized_mode():
+    # with a wrong class maximum the length identity breaks; the check must
+    # still raise when python -O strips assert statements
+    script = textwrap.dedent("""
+        import sys
+        import hesscomb.fixed_points as fp
+        from hesscomb import InvariantError
+        if not sys.flags.optimize:
+            sys.exit(4)
+        fp.max_element = lambda S: tuple(range(1, S.n + 1))
+        try:
+            fp.fixed_points_by_translation((2, 1, 3), (2, 3, 3))
+        except InvariantError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(3)
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "length identity" in proc.stdout
