@@ -1,7 +1,7 @@
 """
 Combinatorics of Hessenberg Schubert varieties in type A: permutations and
-their inversion sets, Bruhat and weak order, Hessenberg functions and
-incomparability graphs, Weyl-type subsets and their acyclic orientations,
+their inversion sets, Bruhat and weak order, Hessenberg functions and the
+roots they select, Weyl-type subsets and their acyclic orientations,
 increasing-path reachability, and torus-fixed point sets computed by two
 independent routes.
 """
@@ -16,12 +16,10 @@ from .fixed_points import (
 )
 from .hessenberg import (
     Hessenberg,
-    IncompGraph,
     delete_vertex,
     enumerate_hessenberg,
     hessenberg_length,
     hessenberg_roots,
-    incomparability_graph,
     total_dimension,
     validate_hessenberg,
 )

@@ -10,7 +10,8 @@ Subcommands:
 All JSON output uses sorted keys and ends with a newline; identical inputs
 produce byte-identical output regardless of --jobs.  Exit codes: 0 success,
 1 verification failure or route disagreement, 2 usage error (including an
-unwritable --output).
+unwritable --output, both or neither of two exclusive options, and a rank
+above MAX_SCAN_N for the commands that scan all n! permutations).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .fixed_points import (
     fixed_points_by_reachability,
     fixed_points_by_translation,
 )
-from .hessenberg import Hessenberg, incomparability_graph, validate_hessenberg
+from .hessenberg import Hessenberg, hessenberg_roots, validate_hessenberg
 from .perms import Perm, validate_perm
 from .verify import MAX_N, lemma_names, run_suite
 from .weyl import (
@@ -36,6 +37,16 @@ from .weyl import (
     orientation_of,
     weyl_subsets_sorted,
 )
+
+
+# weyl-subsets and fixed-points scan all n! permutations; 8! = 40320
+MAX_SCAN_N = 8
+
+
+def _cap_scan_rank(h: Hessenberg, parser: argparse.ArgumentParser) -> None:
+    if len(h) > MAX_SCAN_N:
+        parser.error(f"rank must be at most {MAX_SCAN_N} for this command, "
+                     f"which scans all n! permutations; got {len(h)}")
 
 
 def _parse_h(text: str) -> Hessenberg:
@@ -76,6 +87,7 @@ def _sorted_perms(perms) -> list[list[int]]:
 
 
 def _cmd_weyl_subsets(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
+    _cap_scan_rank(args.h, parser)
     records = [
         {
             "S": [list(r) for r in sorted(S.roots)],
@@ -89,8 +101,7 @@ def _cmd_weyl_subsets(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
 
 
 def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
-    if (args.w is None) == (args.S is None):
-        parser.error("exactly one of --w and --S is required")
+    _cap_scan_rank(args.h, parser)
     if args.S is not None:
         try:
             S = make_weyl_subset(args.S, args.h)
@@ -123,7 +134,7 @@ def _graph_dot(h: Hessenberg, o: Optional[Orientation]) -> str:
     if o is None:
         lines.append("graph incomparability {")
         lines.extend(f"  {v};" for v in range(1, n + 1))
-        lines.extend(f"  {a} -- {b};" for a, b in sorted(incomparability_graph(h).edges))
+        lines.extend(f"  {a} -- {b};" for a, b in sorted(hessenberg_roots(h)))
     else:
         lines.append("digraph orientation {")
         lines.extend(f"  {v};" for v in range(1, n + 1))
@@ -144,7 +155,7 @@ def _cmd_graph(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     payload = {
         "h": list(args.h),
         "n": len(args.h),
-        "edges": [list(e) for e in sorted(incomparability_graph(args.h).edges)],
+        "edges": [list(e) for e in sorted(hessenberg_roots(args.h))],
     }
     if o is not None:
         payload["arcs"] = [list(a) for a in sorted(o.arcs())]
@@ -152,8 +163,6 @@ def _cmd_graph(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
-    if args.n is None and args.max_n is None:
-        parser.error("one of --n and --max-n is required")
     top = args.n if args.n is not None else args.max_n
     if not 1 <= top <= MAX_N:
         parser.error(f"rank must be between 1 and {MAX_N}, got {top}")
@@ -181,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "weyl-subsets",
-        help="list the Weyl-type subsets for h with class extremes and size",
+        help="list the Weyl-type subsets for h with class extremes and size "
+             f"(rank capped at {MAX_SCAN_N})",
     )
     p.add_argument("--h", type=_parse_h, required=True, metavar="H",
                    help="Hessenberg function values, e.g. 3,4,4,4")
@@ -190,14 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fixed-points",
         help="fixed point set of the closed opposite cell of w (or of the "
-             "class maximum of S)",
+             f"class maximum of S; rank capped at {MAX_SCAN_N})",
     )
     p.add_argument("--h", type=_parse_h, required=True, metavar="H")
-    p.add_argument("--w", type=_parse_w, metavar="W",
-                   help="permutation in one-line notation, e.g. 2,3,1,4")
-    p.add_argument("--S", type=_parse_root_list, metavar="S",
-                   help="Weyl-type subset as semicolon-separated roots, e.g. "
-                        "\"2,3;1,3\"; \"\" is the empty subset")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--w", type=_parse_w, metavar="W",
+                     help="permutation in one-line notation, e.g. 2,3,1,4")
+    one.add_argument("--S", type=_parse_root_list, metavar="S",
+                     help="Weyl-type subset as semicolon-separated roots, e.g. "
+                          "\"2,3;1,3\"; \"\" is the empty subset")
     p.add_argument("--method", choices=("chl", "interval", "both"), default="both",
                    help="chl: reachability route; interval: translated Bruhat "
                         "interval route; both: run both and compare")
@@ -216,9 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help=f"run the property checks over every h at a rank (capped at {MAX_N})",
     )
-    p.add_argument("--n", type=int, metavar="N", help="single rank to check")
-    p.add_argument("--max-n", type=int, metavar="N",
-                   help="check every rank from 1 up to N")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--n", type=int, metavar="N", help="single rank to check")
+    one.add_argument("--max-n", type=int, metavar="N",
+                     help="check every rank from 1 up to N")
     p.add_argument("--paper-lemma", choices=lemma_names(), metavar="NAME",
                    help="run one named check instead of the whole suite "
                         f"(known: {', '.join(lemma_names())})")

@@ -1,16 +1,16 @@
 """
-Hessenberg functions and their incomparability graphs.
+Hessenberg functions, the roots they select, and vertex deletion.
 
 A Hessenberg function h: [n] -> [n] is nondecreasing with h(i) >= i; it is
 written by listing its values, e.g. (3, 4, 4, 4).  It selects the positive
-roots (i, j) with i < j <= h(i), and its incomparability graph joins
-vertices j < i exactly when i <= h(j), so the edge set and the selected
-root set are the same pairs.
+roots (i, j) with i < j <= h(i).  Its incomparability graph joins vertices
+j < i exactly when i <= h(j), so the graph on [n] is read straight off
+hessenberg_roots(h): each selected root (j, i) is the edge {j, i}, and no
+separate graph type exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -60,25 +60,6 @@ def total_dimension(h: Hessenberg) -> int:
     """Sum of h(i) - i, the dimension of the regular semisimple Hessenberg
     variety; equals the number of selected roots and of graph edges."""
     return sum(v - i for i, v in enumerate(h, start=1))
-
-
-@dataclass(frozen=True)
-class IncompGraph:
-    """Undirected graph on vertices 1..n with edges stored as pairs (j, i),
-    j < i, matching the roots selected by h."""
-
-    h: Hessenberg
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def n(self) -> int:
-        return len(self.h)
-
-
-@lru_cache(maxsize=None)
-def incomparability_graph(h: Hessenberg) -> IncompGraph:
-    """The graph on [n] joining j < i exactly when i <= h(j)."""
-    return IncompGraph(h=tuple(h), edges=hessenberg_roots(tuple(h)))
 
 
 def delete_vertex(h: Hessenberg, k: int) -> Hessenberg:

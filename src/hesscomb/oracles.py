@@ -11,7 +11,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable
 
-from .hessenberg import IncompGraph, hessenberg_roots
+from .hessenberg import Hessenberg, hessenberg_roots
 from .perms import Perm, all_perms, inversion_set, length
 from .reach import is_reachable
 from .weyl import Orientation, WeylSubset, is_acyclic
@@ -78,15 +78,16 @@ def set_reachable_by_enumeration(
     )
 
 
-def acyclic_orientations_by_enumeration(g: IncompGraph) -> frozenset[Orientation]:
-    """All orientations of the graph, filtered by the cycle check."""
-    edges = sorted(g.edges)
+def acyclic_orientations_by_enumeration(h: Hessenberg) -> frozenset[Orientation]:
+    """All orientations of the incomparability graph of h, filtered by the
+    cycle check."""
+    edges = sorted(hessenberg_roots(h))
     if len(edges) > 20:
         raise ValueError(f"orientation oracle capped at 20 edges, got {len(edges)}")
     out = set()
     for downward in itertools.product((False, True), repeat=len(edges)):
         o = Orientation(
-            graph=g,
+            h=h,
             left=frozenset(e for e, down in zip(edges, downward) if down),
         )
         if is_acyclic(o):

@@ -1,5 +1,6 @@
 """
-Increasing-path reachability on an oriented incomparability graph.
+Increasing-path reachability on an oriented incomparability graph, whose
+edges are the roots selected by h.
 
 Vertex i is reachable from j <= i when a strictly increasing vertex
 sequence j = v0 < v1 < ... < vm = i follows oriented edges (m = 0 allowed,
@@ -15,7 +16,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable
 
-from .hessenberg import Hessenberg
+from .hessenberg import Hessenberg, hessenberg_roots
 from .orders import KTuple
 from .perms import Perm
 from .weyl import Orientation, is_acyclic, orientation_of, weyl_subset_of
@@ -26,7 +27,7 @@ def reachability_table(o: Orientation) -> tuple[int, ...]:
     """Per-vertex bitmasks of reachable vertices (bit i - 1 for vertex i)."""
     n = o.n
     up: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in o.graph.edges - o.left:
+    for a, b in hessenberg_roots(o.h) - o.left:
         up[a].append(b)
     table = [0] * (n + 1)
     for v in range(n, 0, -1):

@@ -8,12 +8,16 @@ exactly the sets N(w) & R for w a permutation; the permutations sharing a
 given S form a class that is an interval in weak left order, and S
 corresponds to an acyclic orientation of the incomparability graph by
 pointing the edge (j, i), j < i, downward (i -> j) exactly when (j, i)
-lies in S.
+lies in S.  The edges of that graph are the roots in R, so an orientation
+is h together with its downward edges.  One peel, removing the largest
+source of what is left until none remains, decides acyclicity (it removes
+all n vertices) and gives the class maximum (the k-th vertex peeled takes
+the value k).
 
 Worked example, h = (3, 4, 4, 4) and S = {(1, 3), (2, 3)}: edges (1, 3)
 and (2, 3) point downward (3 -> 1 and 3 -> 2), the other three edges point
-upward, the largest source of the digraph is 3, and peeling sources from
-the top gives the class maximum (2, 3, 1, 4).
+upward, the largest source of the digraph is 3, and the peel gives the
+class maximum (2, 3, 1, 4).
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ from typing import Iterable, Optional
 
 from .hessenberg import (
     Hessenberg,
-    IncompGraph,
     delete_vertex,
     hessenberg_roots,
-    incomparability_graph,
     validate_hessenberg,
 )
 from .orders import weak_interval
@@ -61,44 +63,52 @@ class WeylSubset:
 
 @dataclass(frozen=True)
 class Orientation:
-    """An orientation of an incomparability graph.
+    """An orientation of the incomparability graph of h, whose edges are
+    the roots (j, i), j < i, selected by h.
 
-    `left` holds the edges (j, i), j < i, pointing downward (i -> j); every
-    other edge points upward (j -> i).
+    `left` holds the edges pointing downward (i -> j); every other edge
+    points upward (j -> i).
     """
 
-    graph: IncompGraph
+    h: Hessenberg
     left: frozenset[tuple[int, int]]
 
     @property
     def n(self) -> int:
-        return self.graph.n
+        return len(self.h)
 
     def arcs(self) -> frozenset[tuple[int, int]]:
         """All directed pairs (tail, head)."""
         return frozenset(
-            (b, a) if (a, b) in self.left else (a, b) for a, b in self.graph.edges
+            (b, a) if (a, b) in self.left else (a, b) for a, b in hessenberg_roots(self.h)
         )
+
+
+def _peel(o: Orientation) -> list[int]:
+    """Vertices in the order they are removed by peeling the largest source
+    of what is left; stops short of n vertices when a directed cycle
+    remains."""
+    out_arcs: dict[int, list[int]] = {v: [] for v in range(1, o.n + 1)}
+    indeg = dict.fromkeys(out_arcs, 0)
+    for tail, head in o.arcs():
+        out_arcs[tail].append(head)
+        indeg[head] += 1
+    ready = {v for v, d in indeg.items() if d == 0}
+    order = []
+    while ready:
+        v = max(ready)
+        ready.remove(v)
+        order.append(v)
+        for u in out_arcs[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                ready.add(u)
+    return order
 
 
 def is_acyclic(o: Orientation) -> bool:
     """True when the oriented graph has no directed cycle."""
-    n = o.n
-    out_arcs: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    indeg = dict.fromkeys(range(1, n + 1), 0)
-    for tail, head in o.arcs():
-        out_arcs[tail].append(head)
-        indeg[head] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for u in out_arcs[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                ready.append(u)
-    return seen == n
+    return len(_peel(o)) == o.n
 
 
 def find_closure_violation(
@@ -179,7 +189,7 @@ def complement(S: WeylSubset) -> WeylSubset:
 def orientation_of(S: WeylSubset) -> Orientation:
     """Point the edge (j, i), j < i, downward (i -> j) exactly when the root
     (j, i) lies in S.  Always acyclic for a Weyl-type subset."""
-    return Orientation(graph=incomparability_graph(S.h), left=S.roots)
+    return Orientation(h=S.h, left=S.roots)
 
 
 def subset_of_orientation(o: Orientation) -> WeylSubset:
@@ -187,7 +197,7 @@ def subset_of_orientation(o: Orientation) -> WeylSubset:
     cycle; round-trips exactly on acyclic ones."""
     if not is_acyclic(o):
         raise ValueError("orientation has a directed cycle")
-    S = WeylSubset(roots=o.left, h=o.graph.h)
+    S = WeylSubset(roots=o.left, h=o.h)
     if not is_weyl_type(S.roots, S.h):
         raise InvariantError("an acyclic orientation gave a subset not of Weyl type")
     return S
@@ -197,18 +207,16 @@ def subset_of_orientation(o: Orientation) -> WeylSubset:
 def max_element(S: WeylSubset) -> Perm:
     """The weak-order maximum of class_of(S), by source peeling.
 
-    Repeatedly assign the next value 1, 2, 3, ... to the largest source of
-    the orientation restricted to the remaining vertices, then delete it.
-    An acyclic orientation always has a source, so the peel completes.
+    The k-th vertex peeled from the orientation of S, always the largest
+    source of what is left, takes the value k.  An acyclic orientation
+    always has a source, so the peel completes.
     """
-    arcs = orientation_of(S).arcs()
-    remaining = set(range(1, S.n + 1))
+    order = _peel(orientation_of(S))
+    if len(order) != S.n:
+        raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
     w = [0] * S.n
-    for value in range(1, S.n + 1):
-        blocked = {head for tail, head in arcs if tail in remaining and head in remaining}
-        k = max(remaining - blocked)
+    for value, k in enumerate(order, start=1):
         w[k - 1] = value
-        remaining.discard(k)
     return tuple(w)
 
 

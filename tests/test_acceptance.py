@@ -19,7 +19,7 @@ from hesscomb.fixed_points import (
 from hesscomb.hessenberg import (
     enumerate_hessenberg,
     hessenberg_length,
-    incomparability_graph,
+    hessenberg_roots,
     total_dimension,
 )
 from hesscomb.oracles import (
@@ -70,10 +70,10 @@ def test_criterion_1_worked_class_maximum():
 
 
 def test_criterion_2_worked_graphs_and_orientations():
-    assert incomparability_graph((2, 4, 4, 4)).edges == {
+    assert hessenberg_roots((2, 4, 4, 4)) == {
         (1, 2), (2, 3), (2, 4), (3, 4),
     }
-    assert incomparability_graph((3, 4, 5, 5, 5)).edges == {
+    assert hessenberg_roots((3, 4, 5, 5, 5)) == {
         (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5),
     }
     assert orientation_of(S_KEY).arcs() == {
@@ -82,12 +82,12 @@ def test_criterion_2_worked_graphs_and_orientations():
     right = WeylSubset(frozenset({(1, 2)}), (2, 3, 4, 4))
     assert orientation_of(right).arcs() == {(2, 1), (2, 3), (3, 4)}
 
-    incomparability_graph.cache_clear()
+    hessenberg_roots.cache_clear()
     best = timed_best(
         lambda: (
-            incomparability_graph.cache_clear(),
-            incomparability_graph((2, 4, 4, 4)),
-            incomparability_graph((3, 4, 5, 5, 5)),
+            hessenberg_roots.cache_clear(),
+            hessenberg_roots((2, 4, 4, 4)),
+            hessenberg_roots((3, 4, 5, 5, 5)),
             orientation_of(S_KEY).arcs(),
             orientation_of(right).arcs(),
         )
@@ -174,7 +174,7 @@ def test_criterion_7_orientation_counts():
     for n in range(1, 6):
         for h in enumerate_hessenberg(n):
             assert len(enumerate_weyl_subsets(h)) == len(
-                acyclic_orientations_by_enumeration(incomparability_graph(h))
+                acyclic_orientations_by_enumeration(h)
             )
     assert len(enumerate_weyl_subsets((3, 4, 4, 4))) == 18
     assert len(enumerate_weyl_subsets((2, 3, 4, 4))) == 8

@@ -1,11 +1,16 @@
 """Command line interface: output formats, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 from hesscomb.cli import main
+
+RANK_NINE = ",".join(["9"] * 9)
 
 
 def run_cli(argv, capsys):
@@ -15,6 +20,18 @@ def run_cli(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Make every use of all_perms in the package fail the test."""
+
+    def forbidden(n):
+        raise AssertionError(f"all_perms({n}) was called")
+
+    for name in ("perms", "orders", "weyl", "fixed_points", "oracles", "verify"):
+        module = importlib.import_module(f"hesscomb.{name}")
+        monkeypatch.setattr(module, "all_perms", forbidden)
 
 
 class TestWeylSubsets:
@@ -48,6 +65,12 @@ class TestWeylSubsets:
         code, _, err = run_cli(["weyl-subsets", "--h", "3,4,2,4"], capsys)
         assert code == 2
         assert "nondecreasing" in err
+
+    def test_rank_above_cap_is_usage_error(self, capsys, no_enumeration):
+        code, out, err = run_cli(["weyl-subsets", "--h", RANK_NINE], capsys)
+        assert code == 2
+        assert out == ""
+        assert "at most 8" in err
 
 
 class TestFixedPoints:
@@ -107,6 +130,13 @@ class TestFixedPoints:
             capsys,
         )
         assert code == 2
+
+    def test_rank_above_cap_is_usage_error(self, capsys, no_enumeration):
+        for rest in (["--w", "9,8,7,6,5,4,3,2,1"], ["--S", ""]):
+            code, out, err = run_cli(["fixed-points", "--h", RANK_NINE, *rest], capsys)
+            assert code == 2
+            assert out == ""
+            assert "at most 8" in err
 
     def test_bad_permutation_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -216,6 +246,12 @@ class TestVerify:
     def test_requires_a_rank(self, capsys):
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 2
+
+    def test_both_rank_options_is_usage_error(self, capsys):
+        code, out, err = run_cli(["verify", "--n", "2", "--max-n", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
 
     def test_jobs_below_one_is_usage_error(self, capsys):
         for jobs in ("0", "-2"):

@@ -1,9 +1,11 @@
 """The named property checks and their sweep driver."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from hesscomb.cli import main
 from hesscomb.verify import GLOBAL_CHECKS, MAX_N, PER_H_CHECKS, lemma_names, run_suite
 
 
@@ -21,11 +23,19 @@ def test_hessenberg_counts_reported():
     assert summary["hessenberg_count"] == 5
 
 
-def test_full_suite_passes_at_rank_five():
-    summary, discrepancies = run_suite(5)
+GOLDEN_N5 = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "verify-n5.json"
+
+
+def test_full_suite_passes_at_rank_five(capsys):
+    # the CLI prints discrepancy records to stderr, so an empty stderr means none
+    code = main(["verify", "--n", "5"])
+    out, err = capsys.readouterr()
+    summary = json.loads(out)
+    assert code == 0
     assert summary["ok"]
     assert summary["hessenberg_count"] == 42
-    assert discrepancies == []
+    assert err == ""
+    assert out == GOLDEN_N5.read_text(encoding="utf-8")
 
 
 def test_single_lemma_filter():
