@@ -1,9 +1,9 @@
 """
 Combinatorics of Hessenberg Schubert varieties in type A: permutations and
 their inversion sets, Bruhat and weak order, Hessenberg functions and the
-roots they select, Weyl-type subsets and their acyclic orientations,
-increasing-path reachability, and torus-fixed point sets computed by two
-independent routes.
+roots they select, Weyl-type subsets (each its own acyclic orientation of
+the incomparability graph), increasing-path reachability, and torus-fixed
+point sets computed by two independent routes.
 """
 
 from .fixed_points import (
@@ -58,7 +58,6 @@ from .reach import (
 )
 from .weyl import (
     InvariantError,
-    Orientation,
     WeylSubset,
     class_of,
     complement,
@@ -69,8 +68,6 @@ from .weyl import (
     make_weyl_subset,
     max_element,
     min_element,
-    orientation_of,
-    subset_of_orientation,
     weyl_subset_of,
 )
 

@@ -29,12 +29,11 @@ from .hessenberg import Hessenberg, hessenberg_roots, validate_hessenberg
 from .perms import Perm, validate_perm
 from .verify import MAX_N, lemma_names, run_suite
 from .weyl import (
-    Orientation,
+    WeylSubset,
     class_of,
     make_weyl_subset,
     max_element,
     min_element,
-    orientation_of,
     weyl_subsets_sorted,
 )
 
@@ -128,37 +127,37 @@ def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     return _json(payload), 0 if agree else 1
 
 
-def _graph_dot(h: Hessenberg, o: Optional[Orientation]) -> str:
+def _graph_dot(h: Hessenberg, S: Optional[WeylSubset]) -> str:
     n = len(h)
     lines = []
-    if o is None:
+    if S is None:
         lines.append("graph incomparability {")
         lines.extend(f"  {v};" for v in range(1, n + 1))
         lines.extend(f"  {a} -- {b};" for a, b in sorted(hessenberg_roots(h)))
     else:
         lines.append("digraph orientation {")
         lines.extend(f"  {v};" for v in range(1, n + 1))
-        lines.extend(f"  {tail} -> {head};" for tail, head in sorted(o.arcs()))
+        lines.extend(f"  {tail} -> {head};" for tail, head in sorted(S.arcs()))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_graph(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
-    o = None
+    S = None
     if args.S is not None:
         try:
-            o = orientation_of(make_weyl_subset(args.S, args.h))
+            S = make_weyl_subset(args.S, args.h)
         except ValueError as exc:
             parser.error(str(exc))
     if args.format == "dot":
-        return _graph_dot(args.h, o), 0
+        return _graph_dot(args.h, S), 0
     payload = {
         "h": list(args.h),
         "n": len(args.h),
         "edges": [list(e) for e in sorted(hessenberg_roots(args.h))],
     }
-    if o is not None:
-        payload["arcs"] = [list(a) for a in sorted(o.arcs())]
+    if S is not None:
+        payload["arcs"] = [list(a) for a in sorted(S.arcs())]
     return _json(payload), 0
 
 
@@ -196,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_parse_h, required=True, metavar="H",
                    help="Hessenberg function values, e.g. 3,4,4,4")
     p.add_argument("--output", metavar="PATH", help="write output to a file")
+    p.set_defaults(run=_cmd_weyl_subsets, parser=p)
 
     p = sub.add_parser(
         "fixed-points",
@@ -213,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chl: reachability route; interval: translated Bruhat "
                         "interval route; both: run both and compare")
     p.add_argument("--output", metavar="PATH")
+    p.set_defaults(run=_cmd_fixed_points, parser=p)
 
     p = sub.add_parser(
         "graph",
@@ -222,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S", type=_parse_root_list, metavar="S")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("--output", metavar="PATH")
+    p.set_defaults(run=_cmd_graph, parser=p)
 
     p = sub.add_parser(
         "verify",
@@ -237,22 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="J",
                    help="worker processes for the sweep")
     p.add_argument("--output", metavar="PATH")
+    p.set_defaults(run=_cmd_verify, parser=p)
 
     return parser
 
 
-_COMMANDS = {
-    "weyl-subsets": _cmd_weyl_subsets,
-    "fixed-points": _cmd_fixed_points,
-    "graph": _cmd_graph,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    text, code = _COMMANDS[args.command](args, parser)
+    args = build_parser().parse_args(argv)
+    text, code = args.run(args, args.parser)
     if args.output is None:
         sys.stdout.write(text)
         return code
@@ -260,7 +254,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        parser.error(f"cannot write --output {args.output}: {exc.strerror}")
+        args.parser.error(f"cannot write --output {args.output}: {exc.strerror}")
     return code
 
 

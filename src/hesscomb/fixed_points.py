@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .hessenberg import Hessenberg, hessenberg_length, total_dimension
-from .orders import bruhat_interval, bruhat_leq, sort_action
+from .orders import bruhat_interval, sort_action
 from .perms import (
     Perm,
     all_perms,
@@ -105,7 +105,5 @@ def reducibility_witness(S: WeylSubset) -> Optional[Perm]:
     """
     m = max_element(S)
     target = hessenberg_length(m, S.h)
-    for u in all_perms(S.n):
-        if u != m and bruhat_leq(m, u) and hessenberg_length(u, S.h) == target:
-            return u
-    return None
+    above = bruhat_interval(m, longest_element(S.n)) - {m}
+    return min((u for u in above if hessenberg_length(u, S.h) == target), default=None)

@@ -14,7 +14,7 @@ from typing import Iterable
 from .hessenberg import Hessenberg, hessenberg_roots
 from .perms import Perm, all_perms, inversion_set, length
 from .reach import is_reachable
-from .weyl import Orientation, WeylSubset, is_acyclic
+from .weyl import WeylSubset, is_acyclic
 
 
 @lru_cache(maxsize=None)
@@ -63,7 +63,7 @@ def class_by_filter(S: WeylSubset) -> frozenset[Perm]:
 
 
 def set_reachable_by_enumeration(
-    from_set: Iterable[int], to_set: Iterable[int], o: Orientation
+    from_set: Iterable[int], to_set: Iterable[int], S: WeylSubset
 ) -> bool:
     """Set reachability by trying all pairings of the two sets."""
     src = sorted(set(from_set))
@@ -73,23 +73,23 @@ def set_reachable_by_enumeration(
     if len(src) > 6:
         raise ValueError(f"pairing oracle capped at 6 elements, got {len(src)}")
     return any(
-        all(is_reachable(b, a, o) for b, a in zip(src, pairing))
+        all(is_reachable(b, a, S) for b, a in zip(src, pairing))
         for pairing in itertools.permutations(dst)
     )
 
 
-def acyclic_orientations_by_enumeration(h: Hessenberg) -> frozenset[Orientation]:
-    """All orientations of the incomparability graph of h, filtered by the
-    cycle check."""
+def acyclic_orientations_by_enumeration(h: Hessenberg) -> frozenset[WeylSubset]:
+    """The downward-edge sets of all orientations of the incomparability
+    graph of h, as root subsets, filtered by the cycle check."""
     edges = sorted(hessenberg_roots(h))
     if len(edges) > 20:
         raise ValueError(f"orientation oracle capped at 20 edges, got {len(edges)}")
     out = set()
     for downward in itertools.product((False, True), repeat=len(edges)):
-        o = Orientation(
+        S = WeylSubset(
+            roots=frozenset(e for e, down in zip(edges, downward) if down),
             h=h,
-            left=frozenset(e for e, down in zip(edges, downward) if down),
         )
-        if is_acyclic(o):
-            out.add(o)
+        if is_acyclic(S):
+            out.add(S)
     return frozenset(out)

@@ -94,7 +94,6 @@ def is_positive(r: Root) -> bool:
     return r[0] < r[1]
 
 
-@lru_cache(maxsize=None)
 def positive_roots(n: int) -> frozenset[Root]:
     """All pairs (i, j) with 1 <= i < j <= n."""
     return frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1))

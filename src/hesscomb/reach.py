@@ -1,13 +1,14 @@
 """
 Increasing-path reachability on an oriented incomparability graph, whose
-edges are the roots selected by h.
+edges are the roots selected by h.  A Weyl-type subset S is its own
+orientation: the edges in S point downward, the rest upward.
 
 Vertex i is reachable from j <= i when a strictly increasing vertex
 sequence j = v0 < v1 < ... < vm = i follows oriented edges (m = 0 allowed,
 so every vertex reaches itself).  Only edges oriented from smaller to
 larger vertex can appear on such a path, so the relation is the transitive
 closure of the upward arcs; a bitmask closure table is precomputed once per
-orientation and shared by all queries.
+subset and shared by all queries.
 """
 
 from __future__ import annotations
@@ -16,19 +17,20 @@ import itertools
 from functools import lru_cache
 from typing import Iterable
 
-from .hessenberg import Hessenberg, hessenberg_roots
+from .hessenberg import Hessenberg
 from .orders import KTuple
 from .perms import Perm
-from .weyl import Orientation, is_acyclic, orientation_of, weyl_subset_of
+from .weyl import WeylSubset, is_acyclic, weyl_subset_of
 
 
 @lru_cache(maxsize=None)
-def reachability_table(o: Orientation) -> tuple[int, ...]:
+def reachability_table(S: WeylSubset) -> tuple[int, ...]:
     """Per-vertex bitmasks of reachable vertices (bit i - 1 for vertex i)."""
-    n = o.n
+    n = S.n
     up: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in hessenberg_roots(o.h) - o.left:
-        up[a].append(b)
+    for tail, head in S.arcs():
+        if tail < head:
+            up[tail].append(head)
     table = [0] * (n + 1)
     for v in range(n, 0, -1):
         bits = 1 << (v - 1)
@@ -38,35 +40,35 @@ def reachability_table(o: Orientation) -> tuple[int, ...]:
     return tuple(table[1:])
 
 
-def is_reachable(j: int, i: int, o: Orientation) -> bool:
+def is_reachable(j: int, i: int, S: WeylSubset) -> bool:
     """True when an increasing oriented path runs from j to i.
 
     Every vertex reaches itself; for j > i the relation is empty, so the
     answer is False.
     """
-    n = o.n
+    n = S.n
     if not (1 <= j <= n and 1 <= i <= n):
         raise ValueError(f"vertex out of range: {(j, i)}")
     if j > i:
         return False
-    return bool(reachability_table(o)[j - 1] >> (i - 1) & 1)
+    return bool(reachability_table(S)[j - 1] >> (i - 1) & 1)
 
 
-def sources(o: Orientation) -> set[int]:
+def sources(S: WeylSubset) -> set[int]:
     """Vertices whose incident edges all point away (isolated vertices
     included).  Rejects cyclic orientations, which need not have one."""
-    if not is_acyclic(o):
+    if not is_acyclic(S):
         raise ValueError("orientation has a directed cycle")
-    heads = {head for _, head in o.arcs()}
-    return set(range(1, o.n + 1)) - heads
+    heads = {head for _, head in S.arcs()}
+    return set(range(1, S.n + 1)) - heads
 
 
-def largest_source(o: Orientation) -> int:
+def largest_source(S: WeylSubset) -> int:
     """The maximum vertex label among the sources."""
-    return max(sources(o))
+    return max(sources(S))
 
 
-def set_reachable(from_set: Iterable[int], to_set: Iterable[int], o: Orientation) -> bool:
+def set_reachable(from_set: Iterable[int], to_set: Iterable[int], S: WeylSubset) -> bool:
     """True when some bijection pairs every vertex of from_set with a vertex
     of to_set reachable from it.
 
@@ -77,7 +79,7 @@ def set_reachable(from_set: Iterable[int], to_set: Iterable[int], o: Orientation
     dst = sorted(set(to_set))
     if len(src) != len(dst):
         raise ValueError(f"cardinality mismatch: {len(src)} vs {len(dst)}")
-    table = reachability_table(o)
+    table = reachability_table(S)
     matched: dict[int, int] = {}
 
     def augment(si: int, seen: set[int]) -> bool:
@@ -102,10 +104,10 @@ def reachable_tuples(w: Perm, h: Hessenberg, k: int) -> tuple[KTuple, ...]:
     n = len(w)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k out of range: {k}")
-    o = orientation_of(weyl_subset_of(w, h))
+    S = weyl_subset_of(w, h)
     base = range(1, k + 1)
     return tuple(
         t
         for t in itertools.combinations(range(1, n + 1), k)
-        if set_reachable(base, t, o)
+        if set_reachable(base, t, S)
     )

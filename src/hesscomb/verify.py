@@ -64,7 +64,6 @@ from .weyl import (
     induced_subset,
     max_element,
     min_element,
-    orientation_of,
     weyl_subset_of,
     weyl_subsets_sorted,
 )
@@ -261,8 +260,7 @@ def _minimal_inversions(n: int, h: Hessenberg) -> Verdicts:
 
 @_check("orientation-bijection")
 def _orientation_bijection(n: int, h: Hessenberg) -> Verdicts:
-    produced = frozenset(orientation_of(S) for S in enumerate_weyl_subsets(h))
-    yield None, produced == acyclic_orientations_by_enumeration(h)
+    yield None, enumerate_weyl_subsets(h) == acyclic_orientations_by_enumeration(h)
 
 
 @_check("source-induction")
@@ -271,7 +269,7 @@ def _source_induction(n: int, h: Hessenberg) -> Verdicts:
         return
     for S in weyl_subsets_sorted(h):
         cls = class_of(S)
-        for k in sorted(sources(orientation_of(S))):
+        for k in sorted(sources(S)):
             reduced_cls = class_of(induced_subset(S, k))
             cyc = front_cycle(n, k)
             yield S, all(
@@ -283,31 +281,28 @@ def _source_induction(n: int, h: Hessenberg) -> Verdicts:
 @_check("reachability-order")
 def _reachability_order(n: int, h: Hessenberg) -> Verdicts:
     for S in weyl_subsets_sorted(h):
-        o = orientation_of(S)
         m = max_element(S)
         for j in range(1, n + 1):
             for i in range(j, n + 1):
-                yield S, is_reachable(j, i, o) == (m[j - 1] <= m[i - 1])
+                yield S, is_reachable(j, i, S) == (m[j - 1] <= m[i - 1])
 
 
 @_check("largest-source-reach")
 def _largest_source_reach(n: int, h: Hessenberg) -> Verdicts:
     for S in weyl_subsets_sorted(h):
-        o = orientation_of(S)
-        k = largest_source(o)
-        yield S, all(is_reachable(k, i, o) for i in range(k + 1, n + 1))
+        k = largest_source(S)
+        yield S, all(is_reachable(k, i, S) for i in range(k + 1, n + 1))
 
 
 @_check("reachable-monotone")
 def _reachable_monotone(n: int, h: Hessenberg) -> Verdicts:
     for S in weyl_subsets_sorted(h):
-        o = orientation_of(S)
         cls = class_of(S)
         yield S, all(
             w[j - 1] <= w[i - 1]
             for j in range(1, n + 1)
             for i in range(j, n + 1)
-            if is_reachable(j, i, o)
+            if is_reachable(j, i, S)
             for w in cls
         )
 
@@ -315,7 +310,7 @@ def _reachable_monotone(n: int, h: Hessenberg) -> Verdicts:
 @_check("source-realization")
 def _source_realization(n: int, h: Hessenberg) -> Verdicts:
     for S in weyl_subsets_sorted(h):
-        yield S, {w.index(1) + 1 for w in class_of(S)} == sources(orientation_of(S))
+        yield S, {w.index(1) + 1 for w in class_of(S)} == sources(S)
 
 
 @_check("j-set-formula")

@@ -5,14 +5,13 @@ Fix a Hessenberg function h and let R be the set of positive roots it
 selects.  A subset S of R has Weyl type when both S and R \\ S are closed
 under the root addition (i, j) + (j, k) = (i, k) inside R.  These are
 exactly the sets N(w) & R for w a permutation; the permutations sharing a
-given S form a class that is an interval in weak left order, and S
-corresponds to an acyclic orientation of the incomparability graph by
-pointing the edge (j, i), j < i, downward (i -> j) exactly when (j, i)
-lies in S.  The edges of that graph are the roots in R, so an orientation
-is h together with its downward edges.  One peel, removing the largest
-source of what is left until none remains, decides acyclicity (it removes
-all n vertices) and gives the class maximum (the k-th vertex peeled takes
-the value k).
+given S form a class that is an interval in weak left order.  The edges of
+the incomparability graph are the roots in R, so S is its own orientation:
+the edge (j, i), j < i, points downward (i -> j) exactly when (j, i) lies
+in S, and that orientation is acyclic exactly when S has Weyl type.  One
+peel, removing the largest source of what is left until none remains,
+decides acyclicity (it removes all n vertices) and gives the class maximum
+(the k-th vertex peeled takes the value k).
 
 Worked example, h = (3, 4, 4, 4) and S = {(1, 3), (2, 3)}: edges (1, 3)
 and (2, 3) point downward (3 -> 1 and 3 -> 2), the other three edges point
@@ -51,7 +50,13 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeylSubset:
-    """A Weyl-type subset of the roots selected by h."""
+    """A Weyl-type subset of the roots selected by h, which is also an
+    orientation of the incomparability graph of h.
+
+    The edges of that graph are the roots (j, i), j < i, selected by h;
+    those in `roots` point downward (i -> j) and every other edge points
+    upward (j -> i).
+    """
 
     roots: frozenset[Root]
     h: Hessenberg
@@ -60,37 +65,20 @@ class WeylSubset:
     def n(self) -> int:
         return len(self.h)
 
-
-@dataclass(frozen=True)
-class Orientation:
-    """An orientation of the incomparability graph of h, whose edges are
-    the roots (j, i), j < i, selected by h.
-
-    `left` holds the edges pointing downward (i -> j); every other edge
-    points upward (j -> i).
-    """
-
-    h: Hessenberg
-    left: frozenset[tuple[int, int]]
-
-    @property
-    def n(self) -> int:
-        return len(self.h)
-
     def arcs(self) -> frozenset[tuple[int, int]]:
         """All directed pairs (tail, head)."""
         return frozenset(
-            (b, a) if (a, b) in self.left else (a, b) for a, b in hessenberg_roots(self.h)
+            (b, a) if (a, b) in self.roots else (a, b) for a, b in hessenberg_roots(self.h)
         )
 
 
-def _peel(o: Orientation) -> list[int]:
+def _peel(S: WeylSubset) -> list[int]:
     """Vertices in the order they are removed by peeling the largest source
     of what is left; stops short of n vertices when a directed cycle
     remains."""
-    out_arcs: dict[int, list[int]] = {v: [] for v in range(1, o.n + 1)}
+    out_arcs: dict[int, list[int]] = {v: [] for v in range(1, S.n + 1)}
     indeg = dict.fromkeys(out_arcs, 0)
-    for tail, head in o.arcs():
+    for tail, head in S.arcs():
         out_arcs[tail].append(head)
         indeg[head] += 1
     ready = {v for v, d in indeg.items() if d == 0}
@@ -106,9 +94,10 @@ def _peel(o: Orientation) -> list[int]:
     return order
 
 
-def is_acyclic(o: Orientation) -> bool:
-    """True when the oriented graph has no directed cycle."""
-    return len(_peel(o)) == o.n
+def is_acyclic(S: WeylSubset) -> bool:
+    """True when the orientation of S has no directed cycle.  S may be any
+    subset of the selected roots; the acyclic ones are those of Weyl type."""
+    return len(_peel(S)) == S.n
 
 
 def find_closure_violation(
@@ -186,23 +175,6 @@ def complement(S: WeylSubset) -> WeylSubset:
     return WeylSubset(roots=hessenberg_roots(S.h) - S.roots, h=S.h)
 
 
-def orientation_of(S: WeylSubset) -> Orientation:
-    """Point the edge (j, i), j < i, downward (i -> j) exactly when the root
-    (j, i) lies in S.  Always acyclic for a Weyl-type subset."""
-    return Orientation(h=S.h, left=S.roots)
-
-
-def subset_of_orientation(o: Orientation) -> WeylSubset:
-    """Inverse of orientation_of.  Rejects orientations with a directed
-    cycle; round-trips exactly on acyclic ones."""
-    if not is_acyclic(o):
-        raise ValueError("orientation has a directed cycle")
-    S = WeylSubset(roots=o.left, h=o.h)
-    if not is_weyl_type(S.roots, S.h):
-        raise InvariantError("an acyclic orientation gave a subset not of Weyl type")
-    return S
-
-
 @lru_cache(maxsize=None)
 def max_element(S: WeylSubset) -> Perm:
     """The weak-order maximum of class_of(S), by source peeling.
@@ -211,7 +183,7 @@ def max_element(S: WeylSubset) -> Perm:
     source of what is left, takes the value k.  An acyclic orientation
     always has a source, so the peel completes.
     """
-    order = _peel(orientation_of(S))
+    order = _peel(S)
     if len(order) != S.n:
         raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
     w = [0] * S.n

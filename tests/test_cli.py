@@ -1,5 +1,6 @@
 """Command line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -9,6 +10,8 @@ import sys
 import pytest
 
 from hesscomb.cli import main
+from hesscomb.hessenberg import enumerate_hessenberg
+from hesscomb.weyl import weyl_subsets_sorted
 
 RANK_NINE = ",".join(["9"] * 9)
 
@@ -286,6 +289,51 @@ class TestVerify:
         lines = [json.loads(line) for line in err.splitlines()]
         assert lines == [record]
         assert set(lines[0]) == {"n", "h", "S", "operation"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl-subsets", "--h", RANK_NINE],
+        ["graph", "--h", "3,4,4,4", "--S", "1,2;2,3"],
+        ["verify", "--n", "2", "--output", "{tmp}/missing/out.json"],
+    ],
+    ids=["rank-cap", "bad-subset", "unwritable-output"],
+)
+def test_late_usage_error_names_the_subcommand(argv, capsys, tmp_path):
+    # errors found after parsing print the subcommand's usage line, as
+    # argparse does for its own errors
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"usage: hesscomb {argv[0]} ")
+
+
+# SHA-256 of every output below.  The byte-exact output of these commands is
+# part of the CLI contract, so a change to it must update this value on purpose.
+OUTPUT_DIGEST_RANKS_1_TO_5 = "d4ed26f2ce4434ef3354645f81abb7a5222d5f7955f93987a172a8fa640f0ae5"
+
+
+def test_output_digest_ranks_one_to_five(capsys):
+    # weyl-subsets, and graph in JSON and DOT with no --S and with every
+    # Weyl-type subset as --S, for every h at ranks 1-5 (2,330 outputs)
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for h in enumerate_hessenberg(n):
+            hs = ",".join(map(str, h))
+            runs = [["weyl-subsets", "--h", hs]]
+            given = [[]] + [
+                ["--S", ";".join(f"{a},{b}" for a, b in sorted(S.roots))]
+                for S in weyl_subsets_sorted(h)
+            ]
+            for S in given:
+                for fmt in ("json", "dot"):
+                    runs.append(["graph", "--h", hs, "--format", fmt, *S])
+            for argv in runs:
+                code, out, _ = run_cli(argv, capsys)
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == OUTPUT_DIGEST_RANKS_1_TO_5
 
 
 class TestOutputPlumbing:

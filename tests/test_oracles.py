@@ -12,7 +12,7 @@ from hesscomb.oracles import (
     set_reachable_by_enumeration,
 )
 from hesscomb.perms import all_perms, identity, length, longest_element
-from hesscomb.weyl import WeylSubset, enumerate_weyl_subsets, orientation_of
+from hesscomb.weyl import WeylSubset, enumerate_weyl_subsets
 
 
 class TestCoverOracle:
@@ -65,18 +65,18 @@ class TestClassFilter:
 
 class TestPairingOracle:
     def test_equal_sets(self):
-        o = orientation_of(WeylSubset(frozenset(), (3, 4, 4, 4)))
-        assert set_reachable_by_enumeration({1, 3}, {1, 3}, o)
+        S = WeylSubset(frozenset(), (3, 4, 4, 4))
+        assert set_reachable_by_enumeration({1, 3}, {1, 3}, S)
 
     def test_empty_sets(self):
-        o = orientation_of(WeylSubset(frozenset(), (3, 4, 4, 4)))
-        assert set_reachable_by_enumeration(set(), set(), o)
+        S = WeylSubset(frozenset(), (3, 4, 4, 4))
+        assert set_reachable_by_enumeration(set(), set(), S)
 
     def test_cap(self):
         h = tuple(range(1, 8))  # edgeless at rank 7
-        o = orientation_of(WeylSubset(frozenset(), h))
+        S = WeylSubset(frozenset(), h)
         with pytest.raises(ValueError, match="capped"):
-            set_reachable_by_enumeration(set(range(1, 8)), set(range(1, 8)), o)
+            set_reachable_by_enumeration(set(range(1, 8)), set(range(1, 8)), S)
 
 
 class TestOrientationOracle:

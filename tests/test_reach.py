@@ -17,12 +17,10 @@ from hesscomb.reach import (
     sources,
 )
 from hesscomb.weyl import (
-    Orientation,
     WeylSubset,
     class_of,
     enumerate_weyl_subsets,
     max_element,
-    orientation_of,
 )
 
 H_EXAMPLE = (3, 4, 4, 4)
@@ -31,7 +29,7 @@ S_EXAMPLE = WeylSubset(frozenset({(2, 3), (1, 3)}), H_EXAMPLE)
 
 @pytest.fixture
 def worked_orientation():
-    return orientation_of(S_EXAMPLE)
+    return S_EXAMPLE
 
 
 class TestIsReachable:
@@ -64,8 +62,7 @@ class TestIsReachable:
         # exhaustive increasing-path search as the independent route
         for h in enumerate_hessenberg(4):
             for S in enumerate_weyl_subsets(h):
-                o = orientation_of(S)
-                arcs = o.arcs()
+                arcs = S.arcs()
                 for j in range(1, 5):
                     for i in range(j, 5):
                         found = any(
@@ -74,7 +71,7 @@ class TestIsReachable:
                             for mid in itertools.combinations(range(j + 1, i), r)
                             for p in [(j, *mid, i)]
                         ) or i == j
-                        assert is_reachable(j, i, o) == found
+                        assert is_reachable(j, i, S) == found
 
 
 class TestSources:
@@ -83,16 +80,16 @@ class TestSources:
         assert largest_source(worked_orientation) == 3
 
     def test_all_upward_has_source_one(self):
-        o = orientation_of(WeylSubset(frozenset(), H_EXAMPLE))
-        assert 1 in sources(o)
+        S = WeylSubset(frozenset(), H_EXAMPLE)
+        assert 1 in sources(S)
 
     def test_isolated_vertices_are_sources(self):
-        o = orientation_of(WeylSubset(frozenset(), (1, 2, 3, 4)))
-        assert sources(o) == {1, 2, 3, 4}
+        S = WeylSubset(frozenset(), (1, 2, 3, 4))
+        assert sources(S) == {1, 2, 3, 4}
 
     def test_cyclic_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
-            sources(Orientation(h=(3, 3, 3), left=frozenset({(1, 3)})))
+            sources(WeylSubset(roots=frozenset({(1, 3)}), h=(3, 3, 3)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sources_are_exactly_positions_of_one(self, n):
@@ -100,15 +97,14 @@ class TestSources:
         for h in enumerate_hessenberg(n):
             for S in enumerate_weyl_subsets(h):
                 realized = {w.index(1) + 1 for w in class_of(S)}
-                assert realized == sources(orientation_of(S))
+                assert realized == sources(S)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_largest_source_reaches_everything_above(self, n):
         for h in enumerate_hessenberg(n):
             for S in enumerate_weyl_subsets(h):
-                o = orientation_of(S)
-                k = largest_source(o)
-                assert all(is_reachable(k, i, o) for i in range(k + 1, n + 1))
+                k = largest_source(S)
+                assert all(is_reachable(k, i, S) for i in range(k + 1, n + 1))
 
 
 class TestSetReachable:
@@ -129,12 +125,11 @@ class TestSetReachable:
     def test_matching_agrees_with_pairing_oracle(self, n):
         for h in enumerate_hessenberg(n):
             for S in enumerate_weyl_subsets(h):
-                o = orientation_of(S)
                 for size in range(1, min(n, 4) + 1):
                     for B in itertools.combinations(range(1, n + 1), size):
                         for A in itertools.combinations(range(1, n + 1), size):
-                            assert set_reachable(B, A, o) == \
-                                set_reachable_by_enumeration(B, A, o)
+                            assert set_reachable(B, A, S) == \
+                                set_reachable_by_enumeration(B, A, S)
 
     def test_sampled_agreement_at_rank_five(self):
         rng = random.Random(551)
@@ -142,12 +137,12 @@ class TestSetReachable:
         for _ in range(40):
             h = rng.choice(hs)
             subsets = sorted(enumerate_weyl_subsets(h), key=lambda S: sorted(S.roots))
-            o = orientation_of(subsets[rng.randrange(len(subsets))])
+            S = subsets[rng.randrange(len(subsets))]
             for _ in range(25):
                 size = rng.randint(1, 4)
                 B = rng.sample(range(1, 6), size)
                 A = rng.sample(range(1, 6), size)
-                assert set_reachable(B, A, o) == set_reachable_by_enumeration(B, A, o)
+                assert set_reachable(B, A, S) == set_reachable_by_enumeration(B, A, S)
 
 
 class TestReachableTuples:
@@ -196,19 +191,17 @@ class TestReachabilityOrderCharacterization:
     def test_reachable_iff_values_increase_for_class_maximum(self, n):
         for h in enumerate_hessenberg(n):
             for S in enumerate_weyl_subsets(h):
-                o = orientation_of(S)
                 m = max_element(S)
                 for j in range(1, n + 1):
                     for i in range(j, n + 1):
-                        assert is_reachable(j, i, o) == (m[j - 1] <= m[i - 1])
+                        assert is_reachable(j, i, S) == (m[j - 1] <= m[i - 1])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_reachable_forces_increase_for_all_members(self, n):
         for h in enumerate_hessenberg(n):
             for S in enumerate_weyl_subsets(h):
-                o = orientation_of(S)
                 for w in class_of(S):
                     for j in range(1, n + 1):
                         for i in range(j, n + 1):
-                            if is_reachable(j, i, o):
+                            if is_reachable(j, i, S):
                                 assert w[j - 1] <= w[i - 1]

@@ -9,7 +9,6 @@ from hesscomb.oracles import acyclic_orientations_by_enumeration, class_by_filte
 from hesscomb.orders import weak_left_leq
 from hesscomb.perms import all_perms, compose, identity, inversion_set, longest_element
 from hesscomb.weyl import (
-    Orientation,
     WeylSubset,
     class_of,
     complement,
@@ -20,8 +19,6 @@ from hesscomb.weyl import (
     make_weyl_subset,
     max_element,
     min_element,
-    orientation_of,
-    subset_of_orientation,
     weyl_subset_of,
 )
 
@@ -82,40 +79,31 @@ class TestEnumerateSubsets:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_orientation_enumeration(self, n):
         for h in enumerate_hessenberg(n):
-            produced = frozenset(
-                orientation_of(S) for S in enumerate_weyl_subsets(h)
-            )
-            assert produced == acyclic_orientations_by_enumeration(h)
+            assert enumerate_weyl_subsets(h) == acyclic_orientations_by_enumeration(h)
 
 
 class TestOrientation:
     def test_worked_example_arcs(self):
-        o = orientation_of(WeylSubset(S_EXAMPLE, H_EXAMPLE))
-        assert o.arcs() == {(1, 2), (3, 1), (3, 2), (2, 4), (3, 4)}
+        S = WeylSubset(S_EXAMPLE, H_EXAMPLE)
+        assert S.arcs() == {(1, 2), (3, 1), (3, 2), (2, 4), (3, 4)}
 
     def test_path_example_arcs(self):
-        o = orientation_of(make_weyl_subset({(1, 2)}, (2, 3, 4, 4)))
-        assert o.arcs() == {(2, 1), (2, 3), (3, 4)}
+        S = make_weyl_subset({(1, 2)}, (2, 3, 4, 4))
+        assert S.arcs() == {(2, 1), (2, 3), (3, 4)}
 
     def test_empty_subset_points_everything_upward(self):
-        o = orientation_of(WeylSubset(frozenset(), H_EXAMPLE))
-        assert o.arcs() == hessenberg_roots(H_EXAMPLE)
-
-    def test_round_trip(self):
-        for S in enumerate_weyl_subsets(H_EXAMPLE):
-            assert subset_of_orientation(orientation_of(S)) == S
+        S = WeylSubset(frozenset(), H_EXAMPLE)
+        assert S.arcs() == hessenberg_roots(H_EXAMPLE)
 
     def test_cyclic_orientation_rejected(self):
         # 1 -> 2 -> 3 -> 1 on the triangle
-        cyclic = Orientation(h=(3, 3, 3), left=frozenset({(1, 3)}))
+        cyclic = WeylSubset(roots=frozenset({(1, 3)}), h=(3, 3, 3))
         assert not is_acyclic(cyclic)
-        with pytest.raises(ValueError, match="cycle"):
-            subset_of_orientation(cyclic)
 
     def test_produced_orientations_are_acyclic(self):
         for h in enumerate_hessenberg(4):
             for S in enumerate_weyl_subsets(h):
-                assert is_acyclic(orientation_of(S))
+                assert is_acyclic(S)
 
 
 class TestExtremes:
@@ -214,14 +202,14 @@ class TestInducedSubset:
         # off the surviving arcs must agree with the root relabeling
         for h in enumerate_hessenberg(n):
             for S in enumerate_weyl_subsets(h):
-                full_arcs = orientation_of(S).arcs()
+                full_arcs = S.arcs()
                 for k in range(1, n + 1):
                     survived = {
                         tuple(v - 1 if v > k else v for v in arc)
                         for arc in full_arcs
                         if k not in arc
                     }
-                    assert orientation_of(induced_subset(S, k)).arcs() == survived
+                    assert induced_subset(S, k).arcs() == survived
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_class_induction_at_sources(self, n):
@@ -234,7 +222,7 @@ class TestInducedSubset:
         for h in enumerate_hessenberg(n):
             for S in enumerate_weyl_subsets(h):
                 cls = class_of(S)
-                for k in sorted(sources(orientation_of(S))):
+                for k in sorted(sources(S)):
                     reduced_cls = class_of(induced_subset(S, k))
                     cyc = front_cycle(n, k)
                     for y in all_perms(n - 1):
