@@ -53,7 +53,6 @@ from .reach import (
     largest_source,
     reachability_table,
     reachable_tuples,
-    set_reachable,
     sources,
 )
 from .weyl import (

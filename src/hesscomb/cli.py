@@ -38,7 +38,8 @@ from .weyl import (
 )
 
 
-# weyl-subsets and fixed-points scan all n! permutations; 8! = 40320
+# weyl-subsets and the interval route of fixed-points scan all n! permutations
+# (8! = 40320); fixed-points --method chl scans none but shares the cap
 MAX_SCAN_N = 8
 
 

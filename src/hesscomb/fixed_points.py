@@ -1,11 +1,12 @@
 """
 Torus-fixed point sets of (opposite) Hessenberg Schubert varieties.
 
-Two independent routes are provided and must agree: the direct one reads
-the fixed points off reachability data, and the interval one produces a
-(possibly translated) Bruhat interval determined by the extremes of the
-Weyl-type class.  Their agreement on every input is the central property
-the verification suite sweeps.
+Two independent routes are provided and must agree.  The direct one reads
+the fixed points off reachability data: it builds each one a value at a
+time from the reachable k-sets, without scanning all n! permutations.  The
+interval one produces a (possibly translated) Bruhat interval determined
+by the extremes of the Weyl-type class.  Their agreement on every input is
+the central property the verification suite sweeps.
 """
 
 from __future__ import annotations
@@ -14,16 +15,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .hessenberg import Hessenberg, hessenberg_length, total_dimension
-from .orders import bruhat_interval, sort_action
-from .perms import (
-    Perm,
-    all_perms,
-    compose,
-    identity,
-    inverse,
-    length,
-    longest_element,
-)
+from .orders import bruhat_interval
+from .perms import Perm, compose, identity, inverse, length, longest_element
 from .reach import reachable_tuples
 from .weyl import InvariantError, WeylSubset, max_element, min_element, weyl_subset_of
 
@@ -32,22 +25,25 @@ from .weyl import InvariantError, WeylSubset, max_element, min_element, weyl_sub
 def fixed_points_by_reachability(w: Perm, h: Hessenberg) -> frozenset[Perm]:
     """Fixed points of the closed opposite cell of w, from reachability.
 
-    A permutation u belongs exactly when, for every k < n, its sorted first
-    k values occur among the sorted w-images of the reachable k-tuples.
+    A permutation u belongs exactly when, for every k < n, the set of its
+    first k values is the w-image of a reachable k-set.  u is built one
+    value at a time, and a prefix is kept only while that holds.
     """
     n = len(w)
+    # bit v stands for the value v; all n values are the image of {1, ..., n}
     images = [
-        {sort_action(w, t) for t in reachable_tuples(w, h, k)}
+        {sum(1 << w[t - 1] for t in T) for T in reachable_tuples(w, h, k)}
         for k in range(1, n)
-    ]
-    return frozenset(
-        u
-        for u in all_perms(n)
-        if all(
-            sort_action(u, tuple(range(1, k + 1))) in images[k - 1]
-            for k in range(1, n)
-        )
-    )
+    ] + [{sum(1 << v for v in w)}]
+    prefixes: list[tuple[Perm, int]] = [((), 0)]
+    for allowed in images:
+        prefixes = [
+            (u + (v,), mask | 1 << v)
+            for u, mask in prefixes
+            for v in range(1, n + 1)
+            if mask | 1 << v in allowed and not mask >> v & 1
+        ]
+    return frozenset(u for u, _ in prefixes)
 
 
 def fixed_points_by_interval(S: WeylSubset) -> frozenset[Perm]:

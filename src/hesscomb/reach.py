@@ -9,13 +9,15 @@ so every vertex reaches itself).  Only edges oriented from smaller to
 larger vertex can appear on such a path, so the relation is the transitive
 closure of the upward arcs; a bitmask closure table is precomputed once per
 subset and shared by all queries.
+
+A k-set is reachable from {1, ..., k} when its members can be paired with
+1, ..., k, each reachable from its partner.  These sets are found by a walk
+over bitmasks that swaps one member for a vertex it reaches.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from typing import Iterable
 
 from .hessenberg import Hessenberg
 from .orders import KTuple
@@ -68,46 +70,38 @@ def largest_source(S: WeylSubset) -> int:
     return max(sources(S))
 
 
-def set_reachable(from_set: Iterable[int], to_set: Iterable[int], S: WeylSubset) -> bool:
-    """True when some bijection pairs every vertex of from_set with a vertex
-    of to_set reachable from it.
-
-    Decided by augmenting-path bipartite matching over the reachability
-    relation; the sets must have equal cardinality.
-    """
-    src = sorted(set(from_set))
-    dst = sorted(set(to_set))
-    if len(src) != len(dst):
-        raise ValueError(f"cardinality mismatch: {len(src)} vs {len(dst)}")
-    table = reachability_table(S)
-    matched: dict[int, int] = {}
-
-    def augment(si: int, seen: set[int]) -> bool:
-        b = src[si]
-        for a in dst:
-            if a not in seen and b <= a and table[b - 1] >> (a - 1) & 1:
-                seen.add(a)
-                if a not in matched or augment(matched[a], seen):
-                    matched[a] = si
-                    return True
-        return False
-
-    return all(augment(si, set()) for si in range(len(src)))
-
-
 def reachable_tuples(w: Perm, h: Hessenberg, k: int) -> tuple[KTuple, ...]:
     """The increasing k-tuples whose underlying set is reachable from
     {1, ..., k} in the orientation attached to w, in lexicographic order.
 
-    (1, ..., k) itself always qualifies via the identity pairing.
+    A k-set T is reachable from B when some bijection pairs every b in B
+    with an a in T reachable from b.  The sets are found by a walk that
+    starts from {1, ..., k} and swaps one member b for a non-member a
+    reachable from b.  Every set it visits is reachable, since the member
+    of B paired with b also reaches a.  It visits them all: reachability
+    is transitive and only climbs, so a pairing has no cycles besides the
+    vertices paired with themselves and splits into chains
+    b1 -> b2 -> ... -> br -> a, where b1 is not in T, b2 ... br are in both
+    sets and a is not in B.  Swapping br for a, then b(r-1) for br, and so
+    on back to b1 for b2, moves each chain into place by steps of the walk.
     """
     n = len(w)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k out of range: {k}")
-    S = weyl_subset_of(w, h)
-    base = range(1, k + 1)
-    return tuple(
-        t
-        for t in itertools.combinations(range(1, n + 1), k)
-        if set_reachable(base, t, S)
-    )
+    table = reachability_table(weyl_subset_of(w, h))
+    swaps = [
+        (1 << b, 1 << a) for b in range(n) for a in range(b + 1, n) if table[b] >> a & 1
+    ]
+    start = (1 << k) - 1
+    seen = {start}
+    todo = [start]
+    while todo:
+        mask = todo.pop()
+        for out, into in swaps:
+            step = mask ^ out ^ into
+            if mask & out and not mask & into and step not in seen:
+                seen.add(step)
+                todo.append(step)
+    return tuple(sorted(
+        tuple(v + 1 for v in range(n) if mask >> v & 1) for mask in seen
+    ))

@@ -162,7 +162,14 @@ def weyl_subset_of(w: Perm, h: Hessenberg) -> WeylSubset:
 def enumerate_weyl_subsets(h: Hessenberg) -> frozenset[WeylSubset]:
     """All Weyl-type subsets for h, as the deduplicated image of the
     symmetric group under w -> N(w) & (selected roots)."""
-    return frozenset(weyl_subset_of(w, h) for w in all_perms(len(h)))
+    allowed = hessenberg_roots(h)
+    images = {inversion_set(w) & allowed for w in all_perms(len(h))}
+    for roots in images:
+        if not is_weyl_type(roots, h):
+            raise InvariantError(
+                f"N(w) & roots of h = {list(h)} is {sorted(roots)}, not of Weyl type"
+            )
+    return frozenset(WeylSubset(roots=roots, h=h) for roots in images)
 
 
 def weyl_subsets_sorted(h: Hessenberg) -> list[WeylSubset]:

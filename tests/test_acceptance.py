@@ -215,7 +215,7 @@ def test_criterion_8_reachable_tuples_dual_route():
     assert sampled >= 1000
     print(
         f"ACCEPTANCE 8 PASS: {checked} exhaustive and {sampled} sampled "
-        "matching-vs-formula tuple sets agree"
+        "walk-vs-formula tuple sets agree"
     )
 
 

@@ -1,7 +1,6 @@
 """Command line interface: output formats, exit codes, determinism."""
 
 import hashlib
-import importlib
 import json
 import os
 import subprocess
@@ -23,18 +22,6 @@ def run_cli(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
-
-
-@pytest.fixture
-def no_enumeration(monkeypatch):
-    """Make every use of all_perms in the package fail the test."""
-
-    def forbidden(n):
-        raise AssertionError(f"all_perms({n}) was called")
-
-    for name in ("perms", "orders", "weyl", "fixed_points", "oracles", "verify"):
-        module = importlib.import_module(f"hesscomb.{name}")
-        monkeypatch.setattr(module, "all_perms", forbidden)
 
 
 class TestWeylSubsets:

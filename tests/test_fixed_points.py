@@ -1,5 +1,6 @@
 """Fixed point sets by reachability and by (translated) Bruhat intervals."""
 
+import random
 import subprocess
 import sys
 import textwrap
@@ -15,8 +16,9 @@ from hesscomb.fixed_points import (
     schubert_fixed_points,
 )
 from hesscomb.hessenberg import enumerate_hessenberg, hessenberg_roots
-from hesscomb.orders import bruhat_interval
+from hesscomb.orders import bruhat_interval, sort_action
 from hesscomb.perms import all_perms, compose, identity, longest_element
+from hesscomb.reach import reachable_tuples
 from hesscomb.weyl import (
     WeylSubset,
     complement,
@@ -30,10 +32,36 @@ S_EXAMPLE = WeylSubset(frozenset({(2, 3), (1, 3)}), H_EXAMPLE)
 
 
 class TestReachabilityRoute:
-    def test_longest_element_is_alone(self):
-        w0 = longest_element(4)
-        for h in enumerate_hessenberg(4):
+    def test_longest_element_is_alone(self, no_enumeration):
+        sample = random.Random(10).sample(list(enumerate_hessenberg(10)), 50)
+        for h in [*enumerate_hessenberg(4), *sample]:
+            w0 = longest_element(len(h))
             assert fixed_points_by_reachability(w0, h) == {w0}
+
+    def test_minimal_function_fixes_only_w(self, no_enumeration):
+        # with no selected roots every vertex reaches only itself
+        w = tuple(random.Random(10).sample(range(1, 11), 10))
+        assert fixed_points_by_reachability(w, tuple(range(1, 11))) == {w}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_filter_over_all_permutations(self, n):
+        # the definition: the sorted k-prefix of u is among the sorted
+        # w-images of the reachable k-tuples, for every k < n
+        for h in enumerate_hessenberg(n):
+            for w in all_perms(n):
+                images = [
+                    {sort_action(w, t) for t in reachable_tuples(w, h, k)}
+                    for k in range(1, n)
+                ]
+                want = {
+                    u
+                    for u in all_perms(n)
+                    if all(
+                        sort_action(u, tuple(range(1, k + 1))) in images[k - 1]
+                        for k in range(1, n)
+                    )
+                }
+                assert fixed_points_by_reachability(w, h) == want
 
     def test_worked_example_equals_interval(self):
         got = fixed_points_by_reachability((2, 3, 1, 4), H_EXAMPLE)

@@ -1,7 +1,6 @@
 """Reachability on oriented incomparability graphs and reachable k-tuples."""
 
 import itertools
-import random
 
 import pytest
 
@@ -13,7 +12,6 @@ from hesscomb.reach import (
     is_reachable,
     largest_source,
     reachable_tuples,
-    set_reachable,
     sources,
 )
 from hesscomb.weyl import (
@@ -108,41 +106,29 @@ class TestSources:
 
 
 class TestSetReachable:
+    """Set reachability from {1, ..., k}, as reachable_tuples decides it."""
+
     def test_identity_pairing(self, worked_orientation):
-        for size in (1, 2, 3):
-            for X in itertools.combinations(range(1, 5), size):
-                assert set_reachable(X, X, worked_orientation)
+        # {1, ..., k} reaches itself and is the lexicographically first set
+        w = max_element(worked_orientation)
+        for k in range(1, 4):
+            assert reachable_tuples(w, H_EXAMPLE, k)[0] == tuple(range(1, k + 1))
 
     def test_worked_example(self, worked_orientation):
-        assert set_reachable({1, 2}, {2, 4}, worked_orientation)
-        assert not set_reachable({1, 2}, {3, 4}, worked_orientation)
+        pairs = reachable_tuples(max_element(worked_orientation), H_EXAMPLE, 2)
+        assert (2, 4) in pairs
+        assert (3, 4) not in pairs
 
-    def test_cardinality_mismatch(self, worked_orientation):
-        with pytest.raises(ValueError):
-            set_reachable({1}, {2, 3}, worked_orientation)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matching_agrees_with_pairing_oracle(self, n):
         for h in enumerate_hessenberg(n):
             for S in enumerate_weyl_subsets(h):
-                for size in range(1, min(n, 4) + 1):
-                    for B in itertools.combinations(range(1, n + 1), size):
-                        for A in itertools.combinations(range(1, n + 1), size):
-                            assert set_reachable(B, A, S) == \
-                                set_reachable_by_enumeration(B, A, S)
-
-    def test_sampled_agreement_at_rank_five(self):
-        rng = random.Random(551)
-        hs = list(enumerate_hessenberg(5))
-        for _ in range(40):
-            h = rng.choice(hs)
-            subsets = sorted(enumerate_weyl_subsets(h), key=lambda S: sorted(S.roots))
-            S = subsets[rng.randrange(len(subsets))]
-            for _ in range(25):
-                size = rng.randint(1, 4)
-                B = rng.sample(range(1, 6), size)
-                A = rng.sample(range(1, 6), size)
-                assert set_reachable(B, A, S) == set_reachable_by_enumeration(B, A, S)
+                w = max_element(S)
+                for k in range(1, n):
+                    got = reachable_tuples(w, h, k)
+                    for T in itertools.combinations(range(1, n + 1), k):
+                        assert (T in got) == \
+                            set_reachable_by_enumeration(range(1, k + 1), T, S)
 
 
 class TestReachableTuples:
