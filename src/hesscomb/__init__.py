@@ -52,6 +52,7 @@ from .reach import (
     is_reachable,
     largest_source,
     reachability_table,
+    reachable_sets,
     reachable_tuples,
     sources,
 )

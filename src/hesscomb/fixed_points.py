@@ -3,7 +3,9 @@ Torus-fixed point sets of (opposite) Hessenberg Schubert varieties.
 
 Two independent routes are provided and must agree.  The direct one reads
 the fixed points off reachability data: it builds each one a value at a
-time from the reachable k-sets, without scanning all n! permutations.  The
+time from the reachable k-sets, without scanning all n! permutations.
+Those sets are cached per (S, k) in reach.reachable_sets and shared by the
+whole class of S; each fixed point set maps them through its own w.  The
 interval one produces a (possibly translated) Bruhat interval determined
 by the extremes of the Weyl-type class.  Their agreement on every input is
 the central property the verification suite sweeps.
@@ -17,7 +19,7 @@ from typing import Optional
 from .hessenberg import Hessenberg, hessenberg_length, total_dimension
 from .orders import bruhat_interval
 from .perms import Perm, compose, identity, inverse, length, longest_element
-from .reach import reachable_tuples
+from .reach import reachable_sets
 from .weyl import InvariantError, WeylSubset, max_element, min_element, weyl_subset_of
 
 
@@ -30,9 +32,10 @@ def fixed_points_by_reachability(w: Perm, h: Hessenberg) -> frozenset[Perm]:
     value at a time, and a prefix is kept only while that holds.
     """
     n = len(w)
+    S = weyl_subset_of(w, h)
     # bit v stands for the value v; all n values are the image of {1, ..., n}
     images = [
-        {sum(1 << w[t - 1] for t in T) for T in reachable_tuples(w, h, k)}
+        {sum(1 << w[t - 1] for t in T) for T in reachable_sets(S, k)}
         for k in range(1, n)
     ] + [{sum(1 << v for v in w)}]
     prefixes: list[tuple[Perm, int]] = [((), 0)]

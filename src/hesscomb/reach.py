@@ -12,7 +12,9 @@ subset and shared by all queries.
 
 A k-set is reachable from {1, ..., k} when its members can be paired with
 1, ..., k, each reachable from its partner.  These sets are found by a walk
-over bitmasks that swaps one member for a vertex it reaches.
+over bitmasks that swaps one member for a vertex it reaches.  They depend
+on the subset and k alone, so the walk runs once per (S, k) and every
+permutation of the class of S shares its result.
 """
 
 from __future__ import annotations
@@ -70,9 +72,10 @@ def largest_source(S: WeylSubset) -> int:
     return max(sources(S))
 
 
-def reachable_tuples(w: Perm, h: Hessenberg, k: int) -> tuple[KTuple, ...]:
+@lru_cache(maxsize=None)
+def reachable_sets(S: WeylSubset, k: int) -> tuple[KTuple, ...]:
     """The increasing k-tuples whose underlying set is reachable from
-    {1, ..., k} in the orientation attached to w, in lexicographic order.
+    {1, ..., k} in the orientation S, in lexicographic order.
 
     A k-set T is reachable from B when some bijection pairs every b in B
     with an a in T reachable from b.  The sets are found by a walk that
@@ -85,10 +88,10 @@ def reachable_tuples(w: Perm, h: Hessenberg, k: int) -> tuple[KTuple, ...]:
     sets and a is not in B.  Swapping br for a, then b(r-1) for br, and so
     on back to b1 for b2, moves each chain into place by steps of the walk.
     """
-    n = len(w)
+    n = S.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k out of range: {k}")
-    table = reachability_table(weyl_subset_of(w, h))
+    table = reachability_table(S)
     swaps = [
         (1 << b, 1 << a) for b in range(n) for a in range(b + 1, n) if table[b] >> a & 1
     ]
@@ -105,3 +108,9 @@ def reachable_tuples(w: Perm, h: Hessenberg, k: int) -> tuple[KTuple, ...]:
     return tuple(sorted(
         tuple(v + 1 for v in range(n) if mask >> v & 1) for mask in seen
     ))
+
+
+def reachable_tuples(w: Perm, h: Hessenberg, k: int) -> tuple[KTuple, ...]:
+    """reachable_sets for the Weyl-type subset of w under h; the same
+    tuples in the same order, and the same ValueError for a bad k."""
+    return reachable_sets(weyl_subset_of(w, h), k)

@@ -4,8 +4,12 @@ Named property checks swept over all Hessenberg functions of a given rank.
 Every check either passes silently or reports failing (n, h, S, operation)
 records; the CLI `verify` command aggregates them into a summary.  Checks
 are registered under stable kebab-case names so a single one can be run in
-isolation.  Units of work are (check, h) pairs, so sweeps parallelize over
-a process pool with order-independent, deterministic aggregation.
+isolation.  A unit of work is one rank-global check, or one Hessenberg
+function h with every requested per-h check run on it in name order, so
+the checks on one h share the caches of the fixed point sets and reachable
+sets of its classes.  Sweeps parallelize over a process pool, and the
+results are put back in (check, h) order, so the aggregation is
+deterministic and independent of the job count.
 
 Verdict protocol: a check is a generator over one rank n (registered with
 per_h=False) or one Hessenberg function h of rank n.  It yields one
@@ -377,13 +381,14 @@ def lemma_names() -> list[str]:
     return sorted({**GLOBAL_CHECKS, **PER_H_CHECKS})
 
 
-def _run_unit(unit: tuple) -> tuple[tuple, int, list[Failure]]:
-    name, n, h = unit
+def _run_unit(unit: tuple) -> list[tuple]:
+    """Run the checks of one unit, (names, n, h) with h None for a
+    rank-global check; returns one (name, h, checked, failures) per check.
+    Each check is looked up in its registry at call time."""
+    names, n, h = unit
     if h is None:
-        checked, failures = GLOBAL_CHECKS[name](n)
-    else:
-        checked, failures = PER_H_CHECKS[name](n, h)
-    return unit, checked, failures
+        return [(name, h, *GLOBAL_CHECKS[name](n)) for name in names]
+    return [(name, h, *PER_H_CHECKS[name](n, h)) for name in names]
 
 
 def run_suite(n: int, lemma: Optional[str] = None, jobs: int = 1):
@@ -391,8 +396,10 @@ def run_suite(n: int, lemma: Optional[str] = None, jobs: int = 1):
 
     The summary maps each check to instance and failure counts; the
     discrepancy list holds one (n, h, S, operation) record per failure.
-    Aggregation follows the fixed unit order, so output is identical for
-    any job count.  At most min(jobs, CPU count, unit count) worker
+    Units are the rank-global checks one by one and the Hessenberg
+    functions of rank n; aggregation walks the checks in name order and
+    each per-h check over h in enumeration order, so output is identical
+    for any job count.  At most min(jobs, CPU count, unit count) worker
     processes run.
     """
     if not 1 <= n <= MAX_N:
@@ -403,26 +410,27 @@ def run_suite(n: int, lemma: Optional[str] = None, jobs: int = 1):
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = [lemma] if lemma is not None else lemma_names()
     hs = tuple(enumerate_hessenberg(n))
-    units: list[tuple] = []
-    for name in names:
-        if name in GLOBAL_CHECKS:
-            units.append((name, n, None))
-        else:
-            units.extend((name, n, h) for h in hs)
+    per_h = tuple(name for name in names if name in PER_H_CHECKS)
+    units = [((name,), n, None) for name in names if name in GLOBAL_CHECKS]
+    if per_h:
+        units += [(per_h, n, h) for h in hs]
     workers = min(jobs, os.cpu_count() or 1, len(units))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_unit, units, chunksize=4))
+            ran = list(pool.map(_run_unit, units))
     else:
-        results = [_run_unit(u) for u in units]
+        ran = [_run_unit(u) for u in units]
+    results = {(name, h): rest for unit in ran for name, h, *rest in unit}
 
     lemmas: dict[str, dict[str, int]] = {}
     discrepancies: list[Failure] = []
-    for (name, _, _), checked, failures in results:
-        entry = lemmas.setdefault(name, {"checked": 0, "failures": 0})
-        entry["checked"] += checked
-        entry["failures"] += len(failures)
-        discrepancies.extend(failures)
+    for name in names:
+        entry = lemmas[name] = {"checked": 0, "failures": 0}
+        for h in hs if name in PER_H_CHECKS else (None,):
+            checked, failures = results[name, h]
+            entry["checked"] += checked
+            entry["failures"] += len(failures)
+            discrepancies.extend(failures)
 
     total = sum(entry["failures"] for entry in lemmas.values())
     summary = {

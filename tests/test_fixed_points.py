@@ -63,6 +63,27 @@ class TestReachabilityRoute:
                 }
                 assert fixed_points_by_reachability(w, h) == want
 
+    def test_never_reaches_the_interval_route(self, monkeypatch):
+        # cold caches, and every binding of bruhat_interval and max_element
+        # in the package fails the test, so the route must stand alone
+        import hesscomb.fixed_points
+        import hesscomb.orders
+        import hesscomb.reach
+        import hesscomb.weyl
+
+        def forbidden(*args):
+            raise AssertionError("the reachability route used the interval route")
+
+        for module in (hesscomb.orders, hesscomb.fixed_points, hesscomb.reach, hesscomb.weyl):
+            for name in ("bruhat_interval", "max_element"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        fixed_points_by_reachability.cache_clear()
+        hesscomb.reach.reachable_sets.cache_clear()
+        for h in enumerate_hessenberg(4):
+            for w in all_perms(4):
+                fixed_points_by_reachability(w, h)
+
     def test_worked_example_equals_interval(self):
         got = fixed_points_by_reachability((2, 3, 1, 4), H_EXAMPLE)
         assert got == bruhat_interval((2, 3, 1, 4), longest_element(4))

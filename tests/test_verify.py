@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from hesscomb.cli import main
+from hesscomb.fixed_points import fixed_points_by_reachability
+from hesscomb.reach import reachable_sets
 from hesscomb.verify import GLOBAL_CHECKS, MAX_N, PER_H_CHECKS, lemma_names, run_suite
 
 
@@ -28,6 +30,8 @@ GOLDEN_N5 = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "v
 
 def test_full_suite_passes_at_rank_five(capsys):
     # the CLI prints discrepancy records to stderr, so an empty stderr means none
+    fixed_points_by_reachability.cache_clear()
+    reachable_sets.cache_clear()
     code = main(["verify", "--n", "5"])
     out, err = capsys.readouterr()
     summary = json.loads(out)
@@ -36,6 +40,10 @@ def test_full_suite_passes_at_rank_five(capsys):
     assert summary["hessenberg_count"] == 42
     assert err == ""
     assert out == GOLDEN_N5.read_text(encoding="utf-8")
+    # each fixed point set is built once: 42 h times 120 v, and the
+    # reachable sets once per class and k: 945 classes times k = 1..4
+    assert fixed_points_by_reachability.cache_info().misses == 42 * 120
+    assert reachable_sets.cache_info().misses == 945 * 4
 
 
 def test_single_lemma_filter():
@@ -127,6 +135,40 @@ def test_failure_records(monkeypatch):
         assert set(record) == {"n", "h", "S", "operation"}
         assert record["n"] == 3
         assert record["operation"] == "interval"
+
+
+# the records of a failing rank-3 run, recorded with one unit per (check, h):
+# check-major, h in enumeration order, S in sorted order within h
+INTERVAL_FAILURES = [
+    ([1, 2, 3], []), ([1, 3, 3], []), ([1, 3, 3], [[2, 3]]), ([2, 2, 3], []),
+    ([2, 2, 3], [[1, 2]]), ([2, 3, 3], []), ([2, 3, 3], [[1, 2]]),
+    ([2, 3, 3], [[1, 2], [2, 3]]), ([2, 3, 3], [[2, 3]]), ([3, 3, 3], []),
+    ([3, 3, 3], [[1, 2]]), ([3, 3, 3], [[1, 2], [1, 3]]),
+    ([3, 3, 3], [[1, 2], [1, 3], [2, 3]]), ([3, 3, 3], [[1, 3], [2, 3]]),
+    ([3, 3, 3], [[2, 3]]),
+]
+RANK_3_FAILURES = (
+    [("bruhat-oracle", None, None)] * 13
+    + [("interval", h, S) for h, S in INTERVAL_FAILURES]
+    + [("orientation-bijection", h, None)
+       for h in ([1, 2, 3], [1, 3, 3], [2, 2, 3], [2, 3, 3], [3, 3, 3])]
+)
+
+
+def test_failure_records_keep_their_order(monkeypatch):
+    # one rank-global and two per-h checks fail; with one unit per h the two
+    # per-h checks interleave in the run, so only the aggregation orders them
+    monkeypatch.setattr("hesscomb.verify.bruhat_leq_by_covers", lambda w, v: w == v)
+    monkeypatch.setattr("hesscomb.verify.class_by_filter", lambda S: frozenset())
+    monkeypatch.setattr("hesscomb.verify.acyclic_orientations_by_enumeration", lambda h: [])
+    serial = run_suite(3)
+    parallel = run_suite(3, jobs=2)
+    assert serial == parallel
+    summary, discrepancies = serial
+    assert summary["failures"] == len(RANK_3_FAILURES)
+    got = [(d["operation"], d["h"], d["S"]) for d in discrepancies]
+    assert got == RANK_3_FAILURES
+    assert {d["n"] for d in discrepancies} == {3}
 
 
 def test_jobs_below_one_rejected():

@@ -4,7 +4,12 @@ import math
 
 import pytest
 
-from hesscomb.hessenberg import enumerate_hessenberg, hessenberg_roots
+from hesscomb.hessenberg import (
+    enumerate_hessenberg,
+    hessenberg_length,
+    hessenberg_roots,
+    total_dimension,
+)
 from hesscomb.oracles import acyclic_orientations_by_enumeration, class_by_filter
 from hesscomb.orders import weak_left_leq
 from hesscomb.perms import all_perms, compose, identity, inversion_set, longest_element
@@ -179,6 +184,45 @@ class TestClasses:
                 for y in all_perms(n):
                     if S.roots <= inversion_set(y):
                         assert low <= inversion_set(y)
+
+
+def _poincare(h):
+    """Coefficients of the sum over all w of q^(restricted length of w)."""
+    coeffs = [0] * (total_dimension(h) + 1)
+    for w in all_perms(len(h)):
+        coeffs[hessenberg_length(w, h)] += 1
+    return coeffs
+
+
+class TestCounts:
+    """Counts the class listing must match, each found without it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_class_count_is_acyclic_orientation_count(self, n):
+        # the incomparability graph has the perfect elimination order 1..n,
+        # so it has prod(1 + a_i) acyclic orientations, where a_i counts the
+        # earlier neighbours j < i of i (Stanley 1973)
+        for h in enumerate_hessenberg(n):
+            earlier = [sum(1 for j in range(1, i) if h[j - 1] >= i) for i in range(1, n + 1)]
+            assert len(enumerate_weyl_subsets(h)) == math.prod(1 + a for a in earlier)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_poincare_polynomial_is_palindromic(self, n):
+        # the regular semisimple Hessenberg variety is smooth and projective
+        # with an affine paving (De Mari-Procesi-Shayman 1992)
+        for h in enumerate_hessenberg(n):
+            coeffs = _poincare(h)
+            assert coeffs == coeffs[::-1]
+            assert sum(coeffs) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_poincare_polynomial_from_class_sizes(self, n):
+        # the restricted length is |S| on the whole class of S
+        for h in enumerate_hessenberg(n):
+            coeffs = [0] * (total_dimension(h) + 1)
+            for S in enumerate_weyl_subsets(h):
+                coeffs[len(S.roots)] += len(class_of(S))
+            assert coeffs == _poincare(h)
 
 
 class TestInducedSubset:
