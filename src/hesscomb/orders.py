@@ -3,9 +3,9 @@ Partial orders on the symmetric group and on increasing k-tuples.
 
 Bruhat order is decided by the sorted-prefix (tableau) criterion: w <= v
 exactly when, for every k, the sorted first k values of w are componentwise
-at most those of v.  Weak left order is inversion-set containment.  Interval
-operations materialize their result by filtering the full symmetric group,
-which is adequate at the small ranks this library targets.
+at most those of v.  Weak left order is inversion-set containment.  Both
+intervals filter the full symmetric group; no route calls weak_interval,
+which stays as the reference for weyl.class_of.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ exactly the sets N(w) & R for w a permutation; the permutations sharing a
 given S form a class that is an interval in weak left order.  The edges of
 the incomparability graph are the roots in R, so S is its own orientation:
 the edge (j, i), j < i, points downward (i -> j) exactly when (j, i) lies
-in S, and that orientation is acyclic exactly when S has Weyl type.  One
-peel, removing the largest source of what is left until none remains,
-decides acyclicity (it removes all n vertices) and gives the class maximum
-(the k-th vertex peeled takes the value k).
+in S, and that orientation is acyclic exactly when S has Weyl type.  The
+class is the set of labelings of its topological orders (the k-th vertex
+takes the value k, so the order is w^{-1}); peeling the largest source, the
+smallest, or each in turn gives the class maximum, minimum or all members.
 
 Worked example, h = (3, 4, 4, 4) and S = {(1, 3), (2, 3)}: edges (1, 3)
 and (2, 3) point downward (3 -> 1 and 3 -> 2), the other three edges point
@@ -31,15 +31,12 @@ from .hessenberg import (
     hessenberg_roots,
     validate_hessenberg,
 )
-from .orders import weak_interval
 from .perms import (
     Perm,
     Root,
     all_perms,
-    compose,
     inverse,
     inversion_set,
-    longest_element,
 )
 
 
@@ -72,25 +69,28 @@ class WeylSubset:
         )
 
 
-def _peel(S: WeylSubset) -> list[int]:
-    """Vertices in the order they are removed by peeling the largest source
-    of what is left; stops short of n vertices when a directed cycle
-    remains."""
-    out_arcs: dict[int, list[int]] = {v: [] for v in range(1, S.n + 1)}
-    indeg = dict.fromkeys(out_arcs, 0)
+def _before(S: WeylSubset) -> list[int]:
+    """Bit u of entry v is set when the arc u -> v makes u come before v."""
+    before = [0] * (S.n + 1)
     for tail, head in S.arcs():
-        out_arcs[tail].append(head)
-        indeg[head] += 1
-    ready = {v for v, d in indeg.items() if d == 0}
-    order = []
-    while ready:
-        v = max(ready)
-        ready.remove(v)
-        order.append(v)
-        for u in out_arcs[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                ready.add(u)
+        before[head] |= 1 << tail
+    return before
+
+
+def _sources(before: list[int], placed: int) -> list[int]:
+    """The sources, increasing, of what is left once placed is removed."""
+    return [v for v in range(1, len(before)) if not placed >> v & 1 and not before[v] & ~placed]
+
+
+def _peel(S: WeylSubset, pick=max) -> list[int]:
+    """Vertices in the order they are removed, each the source of what is
+    left that pick chooses; stops short of n when a directed cycle remains."""
+    before = _before(S)
+    order: list[int] = []
+    placed = 0
+    while ready := _sources(before, placed):
+        order.append(pick(ready))
+        placed |= 1 << order[-1]
     return order
 
 
@@ -193,30 +193,25 @@ def max_element(S: WeylSubset) -> Perm:
     order = _peel(S)
     if len(order) != S.n:
         raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
-    w = [0] * S.n
-    for value, k in enumerate(order, start=1):
-        w[k - 1] = value
-    return tuple(w)
+    return inverse(tuple(order))
 
 
 @lru_cache(maxsize=None)
 def min_element(S: WeylSubset) -> Perm:
-    """The weak-order minimum of class_of(S).
-
-    Computed as w0 times the maximum of the complement class; left
-    multiplication by the longest element exchanges the two classes and
-    reverses weak order.
-    """
-    w0 = longest_element(S.n)
-    z = compose(w0, max_element(complement(S)))
+    """The weak-order minimum of class_of(S): the labeling of the
+    topological order that always peels the smallest source of what is
+    left."""
+    order = _peel(S, pick=min)
+    if len(order) != S.n:
+        raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
+    z = inverse(tuple(order))
     allowed = hessenberg_roots(S.h)
     if inversion_set(z) & allowed != S.roots:
         raise InvariantError(f"class minimum {list(z)} does not have the roots of S")
-    # minimality criterion: z^{-1} applied to each negative simple root,
-    # whenever positive, must be a selected root
-    zinv = inverse(z)
+    # minimality criterion: z^{-1} (the peel order) applied to each negative
+    # simple root, whenever positive, must be a selected root
     for i in range(1, S.n):
-        a, b = zinv[i], zinv[i - 1]
+        a, b = order[i], order[i - 1]
         if a < b and (a, b) not in allowed:
             raise InvariantError(f"class minimum {list(z)} fails the minimality criterion")
     return z
@@ -224,9 +219,21 @@ def min_element(S: WeylSubset) -> Perm:
 
 @lru_cache(maxsize=None)
 def class_of(S: WeylSubset) -> frozenset[Perm]:
-    """All permutations w with N(w) & (selected roots) = S: the weak-order
-    interval between min_element(S) and max_element(S)."""
-    return weak_interval(min_element(S), max_element(S))
+    """All permutations w with N(w) & (selected roots) = S: the labelings of
+    the topological orders of S, each grown one source at a time.  They
+    form the weak-order interval between min_element(S) and max_element(S).
+    """
+    before = _before(S)
+    prefixes: list[tuple[Perm, int]] = [((), 0)]
+    for _ in range(S.n):
+        prefixes = [
+            (order + (v,), placed | 1 << v)
+            for order, placed in prefixes
+            for v in _sources(before, placed)
+        ]
+    if not prefixes:
+        raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
+    return frozenset(inverse(order) for order, _ in prefixes)
 
 
 def induced_subset(S: WeylSubset, k: int) -> WeylSubset:

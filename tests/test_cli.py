@@ -323,6 +323,19 @@ def test_output_digest_ranks_one_to_five(capsys):
     assert digest.hexdigest() == OUTPUT_DIGEST_RANKS_1_TO_5
 
 
+# SHA-256 of `weyl-subsets --h H` for every rank-6 h, in enumerate_hessenberg order.
+OUTPUT_DIGEST_RANK_6 = "b2b2c685bbcc4c458af2e5e4553495558a4623d57ff46f3c517d3604d3c923ca"
+
+
+def test_weyl_subsets_digest_rank_six(capsys):
+    digest = hashlib.sha256()
+    for h in enumerate_hessenberg(6):
+        code, out, _ = run_cli(["weyl-subsets", "--h", ",".join(map(str, h))], capsys)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == OUTPUT_DIGEST_RANK_6
+
+
 class TestOutputPlumbing:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "graph.json"

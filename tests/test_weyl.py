@@ -1,6 +1,7 @@
 """Weyl-type subsets, the class partition, and acyclic orientations."""
 
 import math
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from hesscomb.oracles import acyclic_orientations_by_enumeration, class_by_filte
 from hesscomb.orders import weak_left_leq
 from hesscomb.perms import all_perms, compose, identity, inversion_set, longest_element
 from hesscomb.weyl import (
+    InvariantError,
     WeylSubset,
     class_of,
     complement,
@@ -105,6 +107,12 @@ class TestOrientation:
         cyclic = WeylSubset(roots=frozenset({(1, 3)}), h=(3, 3, 3))
         assert not is_acyclic(cyclic)
 
+    @pytest.mark.parametrize("operation", [class_of, min_element, max_element])
+    def test_cyclic_orientation_has_no_class(self, operation):
+        cyclic = WeylSubset(roots=frozenset({(1, 3)}), h=(3, 3, 3))
+        with pytest.raises(InvariantError, match="directed cycle"):
+            operation(cyclic)
+
     def test_produced_orientations_are_acyclic(self):
         for h in enumerate_hessenberg(4):
             for S in enumerate_weyl_subsets(h):
@@ -168,13 +176,26 @@ class TestClasses:
             for S in enumerate_weyl_subsets(h):
                 assert class_of(S) == class_by_filter(S)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_longest_element_swaps_complementary_classes(self, n):
         w0 = longest_element(n)
         for h in enumerate_hessenberg(n):
             for S in enumerate_weyl_subsets(h):
                 flipped = {compose(w0, w) for w in class_of(S)}
                 assert flipped == class_of(complement(S))
+                assert min_element(S) == compose(w0, max_element(complement(S)))
+
+    def test_rank_ten_without_enumeration(self, no_enumeration):
+        # the class walk is output-sensitive: no scan of the 10! permutations
+        h = (4, 5, 6, 7, 8, 9, 10, 10, 10, 10)
+        rng = random.Random(10)
+        for _ in range(50):
+            w = tuple(rng.sample(range(1, 11), 10))
+            S = weyl_subset_of(w, h)
+            cls = class_of(S)
+            assert {w, min_element(S), max_element(S)} <= cls
+            for v in cls:
+                assert inversion_set(v) & hessenberg_roots(h) == S.roots
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_min_has_smallest_inversion_set(self, n):
