@@ -29,7 +29,6 @@ from .orders import (
     bruhat_leq,
     ktuple_leq,
     sort_action,
-    weak_interval,
     weak_left_leq,
 )
 from .perms import (

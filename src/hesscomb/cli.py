@@ -11,7 +11,7 @@ All JSON output uses sorted keys and ends with a newline; identical inputs
 produce byte-identical output regardless of --jobs.  Exit codes: 0 success,
 1 verification failure or route disagreement, 2 usage error (including an
 unwritable --output, both or neither of two exclusive options, and a rank
-above MAX_SCAN_N for the commands that scan all n! permutations).
+above MAX_SCAN_N for weyl-subsets and fixed-points).
 """
 
 from __future__ import annotations
@@ -38,15 +38,15 @@ from .weyl import (
 )
 
 
-# weyl-subsets and the interval route of fixed-points scan all n! permutations
-# (8! = 40320); fixed-points --method chl scans none but shares the cap
+# weyl-subsets scans all n! permutations (8! = 40320); fixed-points scans none,
+# but its output can be all of S_n (w = identity with h = (n, ..., n))
 MAX_SCAN_N = 8
 
 
 def _cap_scan_rank(h: Hessenberg, parser: argparse.ArgumentParser) -> None:
     if len(h) > MAX_SCAN_N:
         parser.error(f"rank must be at most {MAX_SCAN_N} for this command, "
-                     f"which scans all n! permutations; got {len(h)}")
+                     f"whose work or output can reach n! permutations; got {len(h)}")
 
 
 def _parse_h(text: str) -> Hessenberg:
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "weyl-subsets",
         help="list the Weyl-type subsets for h with class extremes and size "
-             f"(rank capped at {MAX_SCAN_N})",
+             f"(scans all n! permutations; rank capped at {MAX_SCAN_N})",
     )
     p.add_argument("--h", type=_parse_h, required=True, metavar="H",
                    help="Hessenberg function values, e.g. 3,4,4,4")
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fixed-points",
         help="fixed point set of the closed opposite cell of w (or of the "
-             f"class maximum of S; rank capped at {MAX_SCAN_N})",
+             f"class maximum of S; up to n! members, so rank capped at {MAX_SCAN_N})",
     )
     p.add_argument("--h", type=_parse_h, required=True, metavar="H")
     one = p.add_mutually_exclusive_group(required=True)

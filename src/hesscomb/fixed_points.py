@@ -2,13 +2,13 @@
 Torus-fixed point sets of (opposite) Hessenberg Schubert varieties.
 
 Two independent routes are provided and must agree.  The direct one reads
-the fixed points off reachability data: it builds each one a value at a
-time from the reachable k-sets, without scanning all n! permutations.
-Those sets are cached per (S, k) in reach.reachable_sets and shared by the
-whole class of S; each fixed point set maps them through its own w.  The
-interval one produces a (possibly translated) Bruhat interval determined
-by the extremes of the Weyl-type class.  Their agreement on every input is
-the central property the verification suite sweeps.
+the fixed points off reachability data: u is one when its first k values
+form the w-image of a reachable k-set, for every k.  Those sets are cached
+per (S, k) in reach.reachable_sets and shared by the whole class of S.  The
+interval one produces a (possibly translated) Bruhat interval determined by
+the extremes of the Weyl-type class.  Both grow their sets through
+perms.with_prefix_sets, with no scan of all n! permutations.  Their
+agreement on every input is the central property the verification suite sweeps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 from .hessenberg import Hessenberg, hessenberg_length, total_dimension
 from .orders import bruhat_interval
-from .perms import Perm, compose, identity, inverse, length, longest_element
+from .perms import Perm, compose, identity, inverse, length, longest_element, with_prefix_sets
 from .reach import reachable_sets
 from .weyl import InvariantError, WeylSubset, max_element, min_element, weyl_subset_of
 
@@ -28,8 +28,7 @@ def fixed_points_by_reachability(w: Perm, h: Hessenberg) -> frozenset[Perm]:
     """Fixed points of the closed opposite cell of w, from reachability.
 
     A permutation u belongs exactly when, for every k < n, the set of its
-    first k values is the w-image of a reachable k-set.  u is built one
-    value at a time, and a prefix is kept only while that holds.
+    first k values is the w-image of a reachable k-set.
     """
     n = len(w)
     S = weyl_subset_of(w, h)
@@ -38,15 +37,7 @@ def fixed_points_by_reachability(w: Perm, h: Hessenberg) -> frozenset[Perm]:
         {sum(1 << w[t - 1] for t in T) for T in reachable_sets(S, k)}
         for k in range(1, n)
     ] + [{sum(1 << v for v in w)}]
-    prefixes: list[tuple[Perm, int]] = [((), 0)]
-    for allowed in images:
-        prefixes = [
-            (u + (v,), mask | 1 << v)
-            for u, mask in prefixes
-            for v in range(1, n + 1)
-            if mask | 1 << v in allowed and not mask >> v & 1
-        ]
-    return frozenset(u for u, _ in prefixes)
+    return frozenset(with_prefix_sets(images))
 
 
 def fixed_points_by_interval(S: WeylSubset) -> frozenset[Perm]:

@@ -1,8 +1,9 @@
 """
 Brute-force counterparts of the production routes, for cross-checking:
-cover closure for Bruhat order, the definition filter for classes, pairing
-enumeration for set reachability, and orientation enumeration with an
-explicit cycle check.  Exponential on purpose; hard caps keep them honest.
+cover closure for Bruhat order, definition filters for classes and weak
+intervals, pairing enumeration for set reachability, and orientation
+enumeration with an explicit cycle check.  Exponential on purpose; hard
+caps keep them honest.
 """
 
 from __future__ import annotations
@@ -59,6 +60,14 @@ def class_by_filter(S: WeylSubset) -> frozenset[Perm]:
     allowed = hessenberg_roots(S.h)
     return frozenset(
         w for w in all_perms(n) if inversion_set(w) & allowed == S.roots
+    )
+
+
+def weak_interval(lo: Perm, hi: Perm) -> frozenset[Perm]:
+    """All v with N(lo) contained in N(v) contained in N(hi)."""
+    lo_inv, hi_inv = inversion_set(lo), inversion_set(hi)
+    return frozenset(
+        v for v in all_perms(len(lo)) if lo_inv <= inversion_set(v) <= hi_inv
     )
 
 

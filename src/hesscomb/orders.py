@@ -3,17 +3,17 @@ Partial orders on the symmetric group and on increasing k-tuples.
 
 Bruhat order is decided by the sorted-prefix (tableau) criterion: w <= v
 exactly when, for every k, the sorted first k values of w are componentwise
-at most those of v.  Weak left order is inversion-set containment.  Both
-intervals filter the full symmetric group; no route calls weak_interval,
-which stays as the reference for weyl.class_of.
+at most those of v.  bruhat_interval grows its members by the same
+criterion through perms.with_prefix_sets, with no scan of all n!
+permutations.  Weak left order is inversion-set containment.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import lru_cache
+from itertools import combinations
 
-from .perms import Perm, all_perms, inversion_set
+from .perms import Perm, inversion_set, with_prefix_sets
 
 KTuple = tuple[int, ...]
 
@@ -47,14 +47,9 @@ def bruhat_leq(w: Perm, v: Perm) -> bool:
     """
     if len(w) != len(v):
         raise ValueError(f"size mismatch: {len(w)} vs {len(v)}")
-    prefix_w: list[int] = []
-    prefix_v: list[int] = []
-    for k in range(len(w) - 1):
-        insort(prefix_w, w[k])
-        insort(prefix_v, v[k])
-        if any(x > y for x, y in zip(prefix_w, prefix_v)):
-            return False
-    return True
+    return all(
+        x <= y for k in range(1, len(w)) for x, y in zip(sorted(w[:k]), sorted(v[:k]))
+    )
 
 
 def weak_left_leq(u: Perm, v: Perm) -> bool:
@@ -67,14 +62,12 @@ def weak_left_leq(u: Perm, v: Perm) -> bool:
 @lru_cache(maxsize=None)
 def bruhat_interval(lo: Perm, hi: Perm) -> frozenset[Perm]:
     """All v with lo <= v <= hi in Bruhat order; empty when lo is not below hi."""
-    return frozenset(
-        v for v in all_perms(len(lo)) if bruhat_leq(lo, v) and bruhat_leq(v, hi)
-    )
-
-
-def weak_interval(lo: Perm, hi: Perm) -> frozenset[Perm]:
-    """All v with N(lo) contained in N(v) contained in N(hi)."""
-    lo_inv, hi_inv = inversion_set(lo), inversion_set(hi)
-    return frozenset(
-        v for v in all_perms(len(lo)) if lo_inv <= inversion_set(v) <= hi_inv
-    )
+    n = len(lo)
+    if len(hi) != n:
+        raise ValueError(f"size mismatch: {n} vs {len(hi)}")
+    bounds = [(sorted(lo[:k]), sorted(hi[:k])) for k in range(1, n + 1)]
+    return frozenset(with_prefix_sets([
+        {sum(1 << v for v in t) for t in combinations(range(1, n + 1), len(low))
+         if ktuple_leq(low, t) and ktuple_leq(t, high)}
+        for low, high in bounds
+    ]))

@@ -4,13 +4,14 @@ Permutations of [n] = {1, ..., n} in one-line notation.
 A permutation w is the tuple (w(1), ..., w(n)) of values 1..n.  Roots of the
 type A root system are ordered pairs (i, j) with i != j, standing for
 t_i - t_j; a root is positive exactly when i < j.  All indices are 1-based.
+with_prefix_sets grows the permutations whose prefixes lie in given families.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable
+from typing import Container, Iterable, Sequence
 
 Perm = tuple[int, ...]
 Root = tuple[int, int]
@@ -128,3 +129,24 @@ def all_perms(n: int) -> tuple[Perm, ...]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return tuple(itertools.permutations(range(1, n + 1)))
+
+
+def with_prefix_sets(allowed: Sequence[Container[int]]) -> list[Perm]:
+    """The permutations u of [n], n = len(allowed), in lexicographic order,
+    whose first k values form a bitmask (bit v for value v) in allowed[k - 1].
+
+    >>> with_prefix_sets([{0b10, 0b100}, {0b110}])
+    [(1, 2), (2, 1)]
+    >>> with_prefix_sets([{0b10, 0b100}, set()])
+    []
+    """
+    n = len(allowed)
+    prefixes: list[tuple[Perm, int]] = [((), 0)]
+    for family in allowed:
+        prefixes = [
+            (u + (v,), mask | 1 << v)
+            for u, mask in prefixes
+            for v in range(1, n + 1)
+            if mask | 1 << v in family and not mask >> v & 1
+        ]
+    return [u for u, _ in prefixes]

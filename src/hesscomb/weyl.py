@@ -37,6 +37,7 @@ from .perms import (
     all_perms,
     inverse,
     inversion_set,
+    with_prefix_sets,
 )
 
 
@@ -219,21 +220,17 @@ def min_element(S: WeylSubset) -> Perm:
 
 @lru_cache(maxsize=None)
 def class_of(S: WeylSubset) -> frozenset[Perm]:
-    """All permutations w with N(w) & (selected roots) = S: the labelings of
-    the topological orders of S, each grown one source at a time.  They
-    form the weak-order interval between min_element(S) and max_element(S).
-    """
+    """All w with N(w) & (selected roots) = S, the weak-order interval from
+    min_element(S) to max_element(S): the labelings of the topological
+    orders of S, whose prefix sets are the order ideals grown source by source."""
     before = _before(S)
-    prefixes: list[tuple[Perm, int]] = [((), 0)]
+    ideals = [{0}]
     for _ in range(S.n):
-        prefixes = [
-            (order + (v,), placed | 1 << v)
-            for order, placed in prefixes
-            for v in _sources(before, placed)
-        ]
-    if not prefixes:
+        ideals.append({ideal | 1 << v for ideal in ideals[-1] for v in _sources(before, ideal)})
+    orders = with_prefix_sets(ideals[1:])
+    if not orders:
         raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
-    return frozenset(inverse(order) for order, _ in prefixes)
+    return frozenset(map(inverse, orders))
 
 
 def induced_subset(S: WeylSubset, k: int) -> WeylSubset:

@@ -26,13 +26,13 @@ from hesscomb.oracles import (
     acyclic_orientations_by_enumeration,
     bruhat_leq_by_covers,
     class_by_filter,
+    weak_interval,
 )
 from hesscomb.orders import (
     bruhat_interval,
     bruhat_leq,
     ktuple_leq,
     sort_action,
-    weak_interval,
 )
 from hesscomb.perms import all_perms, compose, longest_element
 from hesscomb.reach import is_reachable, reachable_tuples

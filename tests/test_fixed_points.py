@@ -131,6 +131,20 @@ class TestTranslationRoute:
                 assert fixed_points_by_translation(v, h) == \
                     fixed_points_by_reachability(v, h)
 
+    def test_rank_ten_without_enumeration(self, no_enumeration):
+        # both routes and the Schubert side grow their sets from prefix sets:
+        # no scan of the 10! permutations
+        rng = random.Random(10)
+        for h in rng.sample(list(enumerate_hessenberg(10)), 50):
+            w = list(longest_element(10))
+            for i in (rng.randrange(9), rng.randrange(9)):
+                w[i], w[i + 1] = w[i + 1], w[i]
+            w = tuple(w)
+            got = fixed_points_by_translation(w, h)
+            assert got == fixed_points_by_reachability(w, h)
+            assert w in got
+            schubert_fixed_points(complement(weyl_subset_of(w, h)))
+
 
 class TestSchubertRoute:
     def test_empty_subset_at_full_function(self):

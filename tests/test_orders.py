@@ -2,13 +2,12 @@
 
 import pytest
 
-from hesscomb.oracles import bruhat_leq_by_covers
+from hesscomb.oracles import bruhat_leq_by_covers, weak_interval
 from hesscomb.orders import (
     bruhat_interval,
     bruhat_leq,
     ktuple_leq,
     sort_action,
-    weak_interval,
     weak_left_leq,
 )
 from hesscomb.perms import (
@@ -116,14 +115,32 @@ class TestIntervals:
     def test_full(self):
         assert bruhat_interval(identity(4), longest_element(4)) == set(all_perms(4))
 
-    def test_size_agrees_with_cover_oracle(self):
-        lo, hi = (2, 3, 1, 4), (4, 3, 2, 1)
-        got = bruhat_interval(lo, hi)
-        assert len(got) == 12
-        assert got == {v for v in all_perms(4) if bruhat_leq_by_covers(lo, v)}
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_size_agrees_with_cover_oracle(self, n):
+        # the cover closure does not use the sorted-prefix criterion that
+        # bruhat_interval grows its members by
+        if n == 4:
+            lo, hi = (2, 3, 1, 4), (4, 3, 2, 1)
+            got = bruhat_interval(lo, hi)
+            assert len(got) == 12
+            assert got == {v for v in all_perms(4) if bruhat_leq_by_covers(lo, v)}
+        perms = all_perms(n)
+        if n <= 4:
+            ends = [(lo, hi) for lo in perms for hi in perms]
+        else:
+            ends = [(m, longest_element(n)) for m in perms] + [(identity(n), m) for m in perms]
+        for lo, hi in ends:
+            assert bruhat_interval(lo, hi) == {
+                v for v in perms if bruhat_leq_by_covers(lo, v) and bruhat_leq_by_covers(v, hi)
+            }
 
     def test_incomparable_pair_gives_empty(self):
         assert bruhat_interval((2, 1, 3), (1, 3, 2)) == frozenset()
+
+    def test_size_mismatch(self):
+        for lo, hi in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2))):
+            with pytest.raises(ValueError, match="size mismatch"):
+                bruhat_interval(lo, hi)
 
     def test_weak_interval(self):
         full = weak_interval(identity(3), longest_element(3))
