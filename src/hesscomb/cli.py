@@ -38,8 +38,8 @@ from .weyl import (
 )
 
 
-# weyl-subsets scans all n! permutations (8! = 40320); fixed-points scans none,
-# but its output can be all of S_n (w = identity with h = (n, ..., n))
+# neither command scans all n! permutations, but either output can cover S_n:
+# the classes of weyl-subsets, or fixed-points at w = e, h = (n, ..., n)
 MAX_SCAN_N = 8
 
 
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "weyl-subsets",
         help="list the Weyl-type subsets for h with class extremes and size "
-             f"(scans all n! permutations; rank capped at {MAX_SCAN_N})",
+             f"(the classes cover all n! permutations; rank capped at {MAX_SCAN_N})",
     )
     p.add_argument("--h", type=_parse_h, required=True, metavar="H",
                    help="Hessenberg function values, e.g. 3,4,4,4")

@@ -7,8 +7,8 @@ Vertex i is reachable from j <= i when a strictly increasing vertex
 sequence j = v0 < v1 < ... < vm = i follows oriented edges (m = 0 allowed,
 so every vertex reaches itself).  Only edges oriented from smaller to
 larger vertex can appear on such a path, so the relation is the transitive
-closure of the upward arcs; a bitmask closure table is precomputed once per
-subset and shared by all queries.
+closure of the upward arcs, built once per subset on weyl's predecessor
+bitmasks and in their layout: bit u of entry v is set when u reaches v.
 
 A k-set is reachable from {1, ..., k} when its members can be paired with
 1, ..., k, each reachable from its partner.  These sets are found by a walk
@@ -24,24 +24,21 @@ from functools import lru_cache
 from .hessenberg import Hessenberg
 from .orders import KTuple
 from .perms import Perm
-from .weyl import WeylSubset, is_acyclic, weyl_subset_of
+from .weyl import WeylSubset, _before, _sources, is_acyclic, weyl_subset_of
 
 
 @lru_cache(maxsize=None)
 def reachability_table(S: WeylSubset) -> tuple[int, ...]:
-    """Per-vertex bitmasks of reachable vertices (bit i - 1 for vertex i)."""
-    n = S.n
-    up: list[list[int]] = [[] for _ in range(n + 1)]
-    for tail, head in S.arcs():
-        if tail < head:
-            up[tail].append(head)
-    table = [0] * (n + 1)
-    for v in range(n, 0, -1):
-        bits = 1 << (v - 1)
-        for b in up[v]:
-            bits |= table[b]
-        table[v] = bits
-    return tuple(table[1:])
+    """Per-vertex bitmasks of the vertices that reach it (bit u of entry v
+    for u reaching v; entry 0 is unused): the closure of the upward arcs."""
+    before = _before(S)
+    table = [0] * (S.n + 1)
+    for v in range(1, S.n + 1):
+        table[v] = 1 << v
+        for u in range(1, v):
+            if before[v] >> u & 1:
+                table[v] |= table[u]
+    return tuple(table)
 
 
 def is_reachable(j: int, i: int, S: WeylSubset) -> bool:
@@ -53,9 +50,7 @@ def is_reachable(j: int, i: int, S: WeylSubset) -> bool:
     n = S.n
     if not (1 <= j <= n and 1 <= i <= n):
         raise ValueError(f"vertex out of range: {(j, i)}")
-    if j > i:
-        return False
-    return bool(reachability_table(S)[j - 1] >> (i - 1) & 1)
+    return bool(reachability_table(S)[i] >> j & 1)
 
 
 def sources(S: WeylSubset) -> set[int]:
@@ -63,8 +58,7 @@ def sources(S: WeylSubset) -> set[int]:
     included).  Rejects cyclic orientations, which need not have one."""
     if not is_acyclic(S):
         raise ValueError("orientation has a directed cycle")
-    heads = {head for _, head in S.arcs()}
-    return set(range(1, S.n + 1)) - heads
+    return set(_sources(_before(S), 0))
 
 
 def largest_source(S: WeylSubset) -> int:
@@ -93,9 +87,9 @@ def reachable_sets(S: WeylSubset, k: int) -> tuple[KTuple, ...]:
         raise ValueError(f"k out of range: {k}")
     table = reachability_table(S)
     swaps = [
-        (1 << b, 1 << a) for b in range(n) for a in range(b + 1, n) if table[b] >> a & 1
+        (1 << b, 1 << a) for b in range(1, n) for a in range(b + 1, n + 1) if table[a] >> b & 1
     ]
-    start = (1 << k) - 1
+    start = (1 << k + 1) - 2
     seen = {start}
     todo = [start]
     while todo:
@@ -106,7 +100,7 @@ def reachable_sets(S: WeylSubset, k: int) -> tuple[KTuple, ...]:
                 seen.add(step)
                 todo.append(step)
     return tuple(sorted(
-        tuple(v + 1 for v in range(n) if mask >> v & 1) for mask in seen
+        tuple(v for v in range(1, n + 1) if mask >> v & 1) for mask in seen
     ))
 
 

@@ -12,6 +12,7 @@ in S, and that orientation is acyclic exactly when S has Weyl type.  The
 class is the set of labelings of its topological orders (the k-th vertex
 takes the value k, so the order is w^{-1}); peeling the largest source, the
 smallest, or each in turn gives the class maximum, minimum or all members.
+The peel and reach read the bitmasks _before(S): bit u of entry v marks u -> v.
 
 Worked example, h = (3, 4, 4, 4) and S = {(1, 3), (2, 3)}: edges (1, 3)
 and (2, 3) point downward (3 -> 1 and 3 -> 2), the other three edges point
@@ -34,7 +35,6 @@ from .hessenberg import (
 from .perms import (
     Perm,
     Root,
-    all_perms,
     inverse,
     inversion_set,
     with_prefix_sets,
@@ -161,15 +161,20 @@ def weyl_subset_of(w: Perm, h: Hessenberg) -> WeylSubset:
 
 @lru_cache(maxsize=None)
 def enumerate_weyl_subsets(h: Hessenberg) -> frozenset[WeylSubset]:
-    """All Weyl-type subsets for h, as the deduplicated image of the
-    symmetric group under w -> N(w) & (selected roots)."""
+    """All Weyl-type subsets for h, as N(w) & (selected roots) for one
+    topological order w^{-1} of each acyclic orientation, grown vertex by
+    vertex: c enters first or just after one of its earlier neighbours, a
+    clique the order ranks totally, and S gains (j, c) for the neighbours
+    after c.  No choice is a dead end or a repeat: prod(1 + a_c) subsets."""
+    orders: list[Perm] = [()]
+    for c in range(1, len(h) + 1):
+        orders = [o[:at] + (c,) + o[at:] for o in orders
+                  for at in [0] + [i + 1 for i, j in enumerate(o) if h[j - 1] >= c]]
     allowed = hessenberg_roots(h)
-    images = {inversion_set(w) & allowed for w in all_perms(len(h))}
+    images = {inversion_set(inverse(o)) & allowed for o in orders}
     for roots in images:
         if not is_weyl_type(roots, h):
-            raise InvariantError(
-                f"N(w) & roots of h = {list(h)} is {sorted(roots)}, not of Weyl type"
-            )
+            raise InvariantError(f"grown {sorted(roots)} for h = {list(h)} is not of Weyl type")
     return frozenset(WeylSubset(roots=roots, h=h) for roots in images)
 
 

@@ -56,6 +56,13 @@ class TestWeylSubsets:
         assert code == 2
         assert "nondecreasing" in err
 
+    def test_rank_eight_without_enumeration(self, capsys, no_enumeration):
+        code, out, _ = run_cli(["weyl-subsets", "--h", "3,4,5,6,7,8,8,8"], capsys)
+        assert code == 0
+        records = json.loads(out)
+        assert len(records) == 2 * 3 ** 6
+        assert sum(r["class_size"] for r in records) == 40320
+
     def test_rank_above_cap_is_usage_error(self, capsys, no_enumeration):
         code, out, err = run_cli(["weyl-subsets", "--h", RANK_NINE], capsys)
         assert code == 2

@@ -1,11 +1,14 @@
 """Permutation basics: inversion sets, special elements, group operations."""
 
+import importlib
 import math
+import pkgutil
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hesscomb
 from hesscomb.perms import (
     all_perms,
     apply_to_root,
@@ -150,3 +153,12 @@ class TestComplementLaw:
                 flip = compose(w0, w)
                 assert length(w) + length(flip) == length(w0)
                 assert inversion_set(flip) == pos - inversion_set(w)
+
+
+def test_only_sweep_modules_bind_all_perms():
+    # a query module that starts enumerating S_n fails here at once, not
+    # only in a slow no_enumeration test
+    names = ["hesscomb"] + [f"hesscomb.{m.name}" for m in pkgutil.iter_modules(hesscomb.__path__)]
+    binding = {name.rpartition(".")[2] for name in names
+               if hasattr(importlib.import_module(name), "all_perms")}
+    assert binding == {"hesscomb", "perms", "oracles", "verify"}

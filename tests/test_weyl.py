@@ -27,10 +27,17 @@ from hesscomb.weyl import (
     max_element,
     min_element,
     weyl_subset_of,
+    weyl_subsets_sorted,
 )
 
 H_EXAMPLE = (3, 4, 4, 4)
 S_EXAMPLE = frozenset({(2, 3), (1, 3)})
+
+
+def _orientation_count(h):
+    """prod(1 + a_i), where a_i counts the earlier neighbours j < i of i."""
+    n = len(h)
+    return math.prod(1 + sum(1 for j in range(1, i) if h[j - 1] >= i) for i in range(1, n + 1))
 
 
 class TestWeylType:
@@ -87,6 +94,15 @@ class TestEnumerateSubsets:
     def test_matches_orientation_enumeration(self, n):
         for h in enumerate_hessenberg(n):
             assert enumerate_weyl_subsets(h) == acyclic_orientations_by_enumeration(h)
+
+    def test_matches_restricted_inversion_sets_at_rank_seven(self):
+        # the image of S_7 under w -> N(w) & R; the orientation oracle stops
+        # at 20 edges, so at rank 7 only this checks the grown sets
+        rng = random.Random(7)
+        for h in rng.sample(list(enumerate_hessenberg(7)), 20):
+            allowed = hessenberg_roots(h)
+            image = {inversion_set(w) & allowed for w in all_perms(7)}
+            assert {S.roots for S in enumerate_weyl_subsets(h)} == image
 
 
 class TestOrientation:
@@ -197,6 +213,22 @@ class TestClasses:
             for v in cls:
                 assert inversion_set(v) & hessenberg_roots(h) == S.roots
 
+    def test_rank_ten_listing_without_enumeration(self, no_enumeration):
+        # the listing grows orientations: no scan of the 10! permutations
+        rng = random.Random(10)
+        h = rng.choice([h for h in enumerate_hessenberg(10) if 200 <= _orientation_count(h) <= 500])
+        listing = weyl_subsets_sorted(h)
+        assert len(listing) == _orientation_count(h)
+        for S in listing:
+            assert inversion_set(max_element(S)) & hessenberg_roots(h) == S.roots
+            assert inversion_set(min_element(S)) & hessenberg_roots(h) == S.roots
+        # the classes partition 10!, so only a few are walked
+        for S in rng.sample(listing, 3):
+            cls = class_of(S)
+            assert {min_element(S), max_element(S)} <= cls
+            for v in cls:
+                assert inversion_set(v) & hessenberg_roots(h) == S.roots
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_min_has_smallest_inversion_set(self, n):
         for h in enumerate_hessenberg(n):
@@ -218,14 +250,12 @@ def _poincare(h):
 class TestCounts:
     """Counts the class listing must match, each found without it."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_class_count_is_acyclic_orientation_count(self, n):
         # the incomparability graph has the perfect elimination order 1..n,
-        # so it has prod(1 + a_i) acyclic orientations, where a_i counts the
-        # earlier neighbours j < i of i (Stanley 1973)
+        # so it has prod(1 + a_i) acyclic orientations (Stanley 1973)
         for h in enumerate_hessenberg(n):
-            earlier = [sum(1 for j in range(1, i) if h[j - 1] >= i) for i in range(1, n + 1)]
-            assert len(enumerate_weyl_subsets(h)) == math.prod(1 + a for a in earlier)
+            assert len(enumerate_weyl_subsets(h)) == _orientation_count(h)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_poincare_polynomial_is_palindromic(self, n):
