@@ -30,7 +30,7 @@ from .perms import Perm, validate_perm
 from .verify import MAX_N, lemma_names, run_suite
 from .weyl import (
     WeylSubset,
-    class_of,
+    class_size,
     make_weyl_subset,
     max_element,
     min_element,
@@ -38,8 +38,8 @@ from .weyl import (
 )
 
 
-# neither command scans all n! permutations, but either output can cover S_n:
-# the classes of weyl-subsets, or fixed-points at w = e, h = (n, ..., n)
+# neither scans S_n (weyl-subsets counts classes on order ideals), but at h = (n, ..., n)
+# weyl-subsets lists n! singleton classes and fixed-points at w = e all n! permutations
 MAX_SCAN_N = 8
 
 
@@ -91,7 +91,7 @@ def _cmd_weyl_subsets(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     records = [
         {
             "S": [list(r) for r in sorted(S.roots)],
-            "class_size": len(class_of(S)),
+            "class_size": class_size(S),
             "w_max": list(max_element(S)),
             "z_min": list(min_element(S)),
         }

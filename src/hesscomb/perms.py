@@ -4,14 +4,14 @@ Permutations of [n] = {1, ..., n} in one-line notation.
 A permutation w is the tuple (w(1), ..., w(n)) of values 1..n.  Roots of the
 type A root system are ordered pairs (i, j) with i != j, standing for
 t_i - t_j; a root is positive exactly when i < j.  All indices are 1-based.
-with_prefix_sets grows the permutations whose prefixes lie in given families.
+with_prefix_sets grows the permutations with given prefix sets, set by set.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
 Root = tuple[int, int]
@@ -131,22 +131,19 @@ def all_perms(n: int) -> tuple[Perm, ...]:
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
-def with_prefix_sets(allowed: Sequence[Container[int]]) -> list[Perm]:
+def with_prefix_sets(allowed: Sequence[Iterable[int]]) -> list[Perm]:
     """The permutations u of [n], n = len(allowed), in lexicographic order,
     whose first k values form a bitmask (bit v for value v) in allowed[k - 1].
+    The prefixes of a mask are those of the mask less one value v, extended by v.
 
     >>> with_prefix_sets([{0b10, 0b100}, {0b110}])
     [(1, 2), (2, 1)]
-    >>> with_prefix_sets([{0b10, 0b100}, set()])
-    []
+    >>> with_prefix_sets([{0b10, 0b1000}, {0b110}, {0b1110}])  # {3} extends to nothing
+    [(1, 2, 3)]
     """
     n = len(allowed)
-    prefixes: list[tuple[Perm, int]] = [((), 0)]
+    groups: dict[int, list[Perm]] = {0: [()]}
     for family in allowed:
-        prefixes = [
-            (u + (v,), mask | 1 << v)
-            for u, mask in prefixes
-            for v in range(1, n + 1)
-            if mask | 1 << v in family and not mask >> v & 1
-        ]
-    return [u for u, _ in prefixes]
+        groups = {mask: [u + (v,) for v in range(1, n + 1) if mask >> v & 1
+                         for u in groups.get(mask & ~(1 << v), ())] for mask in family}
+    return sorted(u for prefixes in groups.values() for u in prefixes)

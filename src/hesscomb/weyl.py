@@ -11,8 +11,8 @@ the edge (j, i), j < i, points downward (i -> j) exactly when (j, i) lies
 in S, and that orientation is acyclic exactly when S has Weyl type.  The
 class is the set of labelings of its topological orders (the k-th vertex
 takes the value k, so the order is w^{-1}); peeling the largest source, the
-smallest, or each in turn gives the class maximum, minimum or all members.
-The peel and reach read the bitmasks _before(S): bit u of entry v marks u -> v.
+smallest, or each in turn gives its maximum, minimum or order ideals, which
+count and list it.  Peels and reach read _before(S): bit u of entry v marks u -> v.
 
 Worked example, h = (3, 4, 4, 4) and S = {(1, 3), (2, 3)}: edges (1, 3)
 and (2, 3) point downward (3 -> 1 and 3 -> 2), the other three edges point
@@ -73,7 +73,8 @@ class WeylSubset:
 def _before(S: WeylSubset) -> list[int]:
     """Bit u of entry v is set when the arc u -> v makes u come before v."""
     before = [0] * (S.n + 1)
-    for tail, head in S.arcs():
+    for a, b in hessenberg_roots(S.h):
+        head, tail = (a, b) if (a, b) in S.roots else (b, a)
         before[head] |= 1 << tail
     return before
 
@@ -223,19 +224,36 @@ def min_element(S: WeylSubset) -> Perm:
     return z
 
 
+def _ideal_counts(S: WeylSubset) -> list[dict[int, int]]:
+    """For each size k, the order ideals of S with k vertices, each with its
+    number of topological orders; size k + 1 adds one source of what is left."""
+    before = _before(S)
+    ideals = [{0: 1}]
+    for _ in range(S.n):
+        grown: dict[int, int] = {}
+        for ideal, count in ideals[-1].items():
+            for v in _sources(before, ideal):
+                grown[ideal | 1 << v] = grown.get(ideal | 1 << v, 0) + count
+        ideals.append(grown)
+    if not ideals[-1]:
+        raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
+    return ideals
+
+
+def class_size(S: WeylSubset) -> int:
+    """len(class_of(S)), counted on the order ideals without listing them.
+
+    >>> class_size(WeylSubset(frozenset(), (1, 2, 3, 4)))
+    24
+    """
+    return sum(_ideal_counts(S)[-1].values())
+
+
 @lru_cache(maxsize=None)
 def class_of(S: WeylSubset) -> frozenset[Perm]:
     """All w with N(w) & (selected roots) = S, the weak-order interval from
-    min_element(S) to max_element(S): the labelings of the topological
-    orders of S, whose prefix sets are the order ideals grown source by source."""
-    before = _before(S)
-    ideals = [{0}]
-    for _ in range(S.n):
-        ideals.append({ideal | 1 << v for ideal in ideals[-1] for v in _sources(before, ideal)})
-    orders = with_prefix_sets(ideals[1:])
-    if not orders:
-        raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
-    return frozenset(map(inverse, orders))
+    min_element(S) to max_element(S), grown on the order ideals of S."""
+    return frozenset(map(inverse, with_prefix_sets(_ideal_counts(S)[1:])))
 
 
 def induced_subset(S: WeylSubset, k: int) -> WeylSubset:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from hesscomb import cli, weyl
 from hesscomb.cli import main
 from hesscomb.hessenberg import enumerate_hessenberg
 from hesscomb.weyl import weyl_subsets_sorted
@@ -62,6 +63,19 @@ class TestWeylSubsets:
         records = json.loads(out)
         assert len(records) == 2 * 3 ** 6
         assert sum(r["class_size"] for r in records) == 40320
+
+    def test_listing_counts_classes_without_listing_them(self, capsys, monkeypatch,
+                                                          no_enumeration):
+        # one class of all 8! permutations: it is counted, never built
+        def forbidden(S):
+            raise AssertionError("class_of was called")
+
+        monkeypatch.setattr(weyl, "class_of", forbidden)
+        monkeypatch.setattr(cli, "class_of", forbidden, raising=False)
+        code, out, _ = run_cli(["weyl-subsets", "--h", "1,2,3,4,5,6,7,8"], capsys)
+        assert code == 0
+        [record] = json.loads(out)
+        assert record["class_size"] == 40320
 
     def test_rank_above_cap_is_usage_error(self, capsys, no_enumeration):
         code, out, err = run_cli(["weyl-subsets", "--h", RANK_NINE], capsys)

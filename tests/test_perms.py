@@ -1,11 +1,12 @@
 """Permutation basics: inversion sets, special elements, group operations."""
 
 import importlib
+import itertools
 import math
 import pkgutil
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import hesscomb
@@ -22,6 +23,7 @@ from hesscomb.perms import (
     longest_element,
     positive_roots,
     validate_perm,
+    with_prefix_sets,
 )
 
 
@@ -153,6 +155,36 @@ class TestComplementLaw:
                 flip = compose(w0, w)
                 assert length(w) + length(flip) == length(w0)
                 assert inversion_set(flip) == pos - inversion_set(w)
+
+
+def _mask(values):
+    return sum(1 << v for v in values)
+
+
+@st.composite
+def prefix_families(draw, max_n=6):
+    """A family of allowed k-sets for each k: random k-sets, most of them dead
+    ends, and the prefix sets of one permutation, missing at one level or none."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    path = draw(st.permutations(range(1, n + 1)))
+    missing = draw(st.integers(min_value=0, max_value=n))
+    allowed = []
+    for k in range(1, n + 1):
+        masks = [_mask(t) for t in itertools.combinations(range(1, n + 1), k)]
+        family = set(draw(st.lists(st.sampled_from(masks), max_size=len(masks))))
+        if k != missing:
+            family.add(_mask(path[:k]))
+        allowed.append(family)
+    return allowed
+
+
+@seed(6)
+@given(prefix_families())
+def test_with_prefix_sets_matches_filter(allowed):
+    n = len(allowed)
+    expected = [u for u in itertools.permutations(range(1, n + 1))
+                if all(_mask(u[:k]) in allowed[k - 1] for k in range(1, n + 1))]
+    assert with_prefix_sets(allowed) == expected
 
 
 def test_only_sweep_modules_bind_all_perms():

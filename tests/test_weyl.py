@@ -18,6 +18,7 @@ from hesscomb.weyl import (
     InvariantError,
     WeylSubset,
     class_of,
+    class_size,
     complement,
     enumerate_weyl_subsets,
     induced_subset,
@@ -123,7 +124,7 @@ class TestOrientation:
         cyclic = WeylSubset(roots=frozenset({(1, 3)}), h=(3, 3, 3))
         assert not is_acyclic(cyclic)
 
-    @pytest.mark.parametrize("operation", [class_of, min_element, max_element])
+    @pytest.mark.parametrize("operation", [class_of, min_element, max_element, class_size])
     def test_cyclic_orientation_has_no_class(self, operation):
         cyclic = WeylSubset(roots=frozenset({(1, 3)}), h=(3, 3, 3))
         with pytest.raises(InvariantError, match="directed cycle"):
@@ -229,6 +230,17 @@ class TestClasses:
             for v in cls:
                 assert inversion_set(v) & hessenberg_roots(h) == S.roots
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_size_counts_the_class(self, n):
+        for h in enumerate_hessenberg(n):
+            for S in enumerate_weyl_subsets(h):
+                assert class_size(S) == len(class_of(S))
+
+    def test_rank_ten_size_without_enumeration(self, no_enumeration):
+        # no edges, so one class of all 10! permutations, counted on 2^10 ideals
+        h = tuple(range(1, 11))
+        assert class_size(WeylSubset(frozenset(), h)) == math.factorial(10)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_min_has_smallest_inversion_set(self, n):
         for h in enumerate_hessenberg(n):
@@ -244,6 +256,15 @@ def _poincare(h):
     coeffs = [0] * (total_dimension(h) + 1)
     for w in all_perms(len(h)):
         coeffs[hessenberg_length(w, h)] += 1
+    return coeffs
+
+
+def _poincare_from_classes(h):
+    """The same coefficients as _poincare, as the sum over S of
+    class_size(S) q^|S|."""
+    coeffs = [0] * (total_dimension(h) + 1)
+    for S in enumerate_weyl_subsets(h):
+        coeffs[len(S.roots)] += class_size(S)
     return coeffs
 
 
@@ -266,14 +287,18 @@ class TestCounts:
             assert coeffs == coeffs[::-1]
             assert sum(coeffs) == math.factorial(n)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_poincare_polynomial_from_class_sizes(self, n):
         # the restricted length is |S| on the whole class of S
         for h in enumerate_hessenberg(n):
-            coeffs = [0] * (total_dimension(h) + 1)
-            for S in enumerate_weyl_subsets(h):
-                coeffs[len(S.roots)] += len(class_of(S))
-            assert coeffs == _poincare(h)
+            assert _poincare_from_classes(h) == _poincare(h)
+
+    def test_poincare_polynomial_from_class_sizes_at_rank_seven(self):
+        # a seeded sample: all 429 h take several seconds
+        for h in random.Random(7).sample(list(enumerate_hessenberg(7)), 60):
+            coeffs = _poincare_from_classes(h)
+            assert coeffs == coeffs[::-1]
+            assert sum(coeffs) == math.factorial(7)
 
 
 class TestInducedSubset:
