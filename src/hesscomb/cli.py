@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional
 
 from .fixed_points import (
@@ -181,6 +182,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     return _json(payload), 0 if not discrepancies else 1
 
 
+@cache  # built once per process, on first use: main parses far faster than it builds
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hesscomb",

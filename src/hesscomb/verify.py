@@ -7,7 +7,9 @@ are registered under stable kebab-case names so a single one can be run in
 isolation.  A unit of work is one rank-global check, or one Hessenberg
 function h with every requested per-h check run on it in name order, so
 the checks on one h share the caches of the fixed point sets and reachable
-sets of its classes.  Sweeps parallelize over a process pool, and the
+sets of its classes.  No key of those caches recurs on another h, so they
+end with their unit: UNIT_CACHES lists them, and each per-h unit clears
+them when it ends.  Sweeps parallelize over a process pool, and the
 results are put back in (check, h) order, so the aggregation is
 deterministic and independent of the job count.
 
@@ -28,6 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
+from . import reach
 from .fixed_points import (
     fixed_points_by_interval,
     fixed_points_by_reachability,
@@ -73,6 +76,14 @@ from .weyl import (
 )
 
 MAX_N = 6
+
+# The caches keyed on h: on h itself, on a Weyl-type subset of its roots
+# (and a k) or on a pair (w, h).  Bound at import, so that they stay
+# clearable when the module's names are rebound.
+UNIT_CACHES = (
+    weyl_subset_of, enumerate_weyl_subsets, max_element, min_element, class_of,
+    reach.reachability_table, reach.reachable_sets, fixed_points_by_reachability,
+)
 
 Failure = dict
 CheckResult = tuple[int, list[Failure]]
@@ -384,11 +395,16 @@ def lemma_names() -> list[str]:
 def _run_unit(unit: tuple) -> list[tuple]:
     """Run the checks of one unit, (names, n, h) with h None for a
     rank-global check; returns one (name, h, checked, failures) per check.
-    Each check is looked up in its registry at call time."""
+    Each check is looked up in its registry at call time.  A per-h unit
+    clears UNIT_CACHES when it ends, whether or not a check raised."""
     names, n, h = unit
     if h is None:
         return [(name, h, *GLOBAL_CHECKS[name](n)) for name in names]
-    return [(name, h, *PER_H_CHECKS[name](n, h)) for name in names]
+    try:
+        return [(name, h, *PER_H_CHECKS[name](n, h)) for name in names]
+    finally:
+        for cache in UNIT_CACHES:
+            cache.cache_clear()
 
 
 def run_suite(n: int, lemma: Optional[str] = None, jobs: int = 1):

@@ -1,12 +1,18 @@
 """The named property checks and their sweep driver."""
 
+import functools
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import hesscomb
+from hesscomb import verify
 from hesscomb.cli import main
 from hesscomb.fixed_points import fixed_points_by_reachability
+from hesscomb.orders import bruhat_interval
 from hesscomb.reach import reachable_sets
 from hesscomb.verify import GLOBAL_CHECKS, MAX_N, PER_H_CHECKS, lemma_names, run_suite
 
@@ -28,10 +34,31 @@ def test_hessenberg_counts_reported():
 GOLDEN_N5 = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "verify-n5.json"
 
 
-def test_full_suite_passes_at_rank_five(capsys):
+class _CountedClear:
+    """Stands in for a cache in verify.UNIT_CACHES and adds up the misses
+    that each end-of-unit clear would otherwise reset."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.misses = 0
+
+    def cache_clear(self):
+        self.misses += self.cache.cache_info().misses
+        self.cache.cache_clear()
+
+    def total_misses(self):
+        return self.misses + self.cache.cache_info().misses
+
+
+def test_full_suite_passes_at_rank_five(capsys, monkeypatch):
     # the CLI prints discrepancy records to stderr, so an empty stderr means none
     fixed_points_by_reachability.cache_clear()
     reachable_sets.cache_clear()
+    fixed_points = _CountedClear(fixed_points_by_reachability)
+    walks = _CountedClear(reachable_sets)
+    counted = {fixed_points_by_reachability: fixed_points, reachable_sets: walks}
+    monkeypatch.setattr(verify, "UNIT_CACHES",
+                        tuple(counted.get(c, c) for c in verify.UNIT_CACHES))
     code = main(["verify", "--n", "5"])
     out, err = capsys.readouterr()
     summary = json.loads(out)
@@ -42,8 +69,61 @@ def test_full_suite_passes_at_rank_five(capsys):
     assert out == GOLDEN_N5.read_text(encoding="utf-8")
     # each fixed point set is built once: 42 h times 120 v, and the
     # reachable sets once per class and k: 945 classes times k = 1..4
-    assert fixed_points_by_reachability.cache_info().misses == 42 * 120
-    assert reachable_sets.cache_info().misses == 945 * 4
+    assert fixed_points.total_misses() == 42 * 120
+    assert walks.total_misses() == 945 * 4
+
+
+# Every lru_cache of the package that outlives a verify unit, with its key.
+# Any other cache is keyed on h and must be in verify.UNIT_CACHES.
+KEPT_CACHES = {
+    "cli.build_parser": "no key: one parser per process",
+    "hessenberg.hessenberg_roots": "h: one small frozenset per h, read by every class operation",
+    "oracles._cover_closure": "n: the rank",
+    "orders.bruhat_interval": "(lo, hi) permutations: hits across h",
+    "perms.all_perms": "n: the rank",
+    "perms.inversion_set": "w: a permutation, whatever the h",
+}
+
+
+def _package_caches() -> dict:
+    caches = {}
+    for info in pkgutil.iter_modules(hesscomb.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"hesscomb.{info.name}")
+        for attr, obj in vars(module).items():
+            if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == module.__name__:
+                caches[f"{info.name}.{attr}"] = obj
+    return caches
+
+
+def test_every_cache_is_scoped_to_its_unit_or_kept():
+    caches = _package_caches()
+    scoped = {name for name, cache in caches.items() if cache in verify.UNIT_CACHES}
+    assert len(scoped) == len(verify.UNIT_CACHES)
+    assert scoped.isdisjoint(KEPT_CACHES)
+    assert set(caches) == scoped | set(KEPT_CACHES)
+
+
+def test_unit_caches_end_with_their_unit():
+    bruhat_interval.cache_clear()
+    summary, _ = run_suite(4)
+    assert summary["ok"]
+    for name, cache in _package_caches().items():
+        if name not in KEPT_CACHES:
+            assert cache.cache_info().currsize == 0, name
+    assert bruhat_interval.cache_info().currsize > 0
+
+
+def test_unit_caches_end_when_a_check_raises(monkeypatch):
+    def broken(S):
+        raise RuntimeError("oracle down")
+
+    monkeypatch.setattr(verify, "class_by_filter", broken)
+    with pytest.raises(RuntimeError, match="oracle down"):
+        run_suite(3, lemma="interval")
+    # the interval check built one class before its oracle raised
+    assert all(cache.cache_info().currsize == 0 for cache in verify.UNIT_CACHES)
 
 
 def test_single_lemma_filter():
