@@ -32,10 +32,10 @@ from .verify import MAX_N, lemma_names, run_suite
 from .weyl import (
     WeylSubset,
     class_size,
+    enumerate_weyl_subsets,
     make_weyl_subset,
     max_element,
     min_element,
-    weyl_subsets_sorted,
 )
 
 
@@ -96,7 +96,7 @@ def _cmd_weyl_subsets(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
             "w_max": list(max_element(S)),
             "z_min": list(min_element(S)),
         }
-        for S in weyl_subsets_sorted(args.h)
+        for S in enumerate_weyl_subsets(args.h)
     ]
     return _json(records), 0
 

@@ -7,8 +7,8 @@ Vertex i is reachable from j <= i when a strictly increasing vertex
 sequence j = v0 < v1 < ... < vm = i follows oriented edges (m = 0 allowed,
 so every vertex reaches itself).  Only edges oriented from smaller to
 larger vertex can appear on such a path, so the relation is the transitive
-closure of the upward arcs, built once per subset on weyl's predecessor
-bitmasks and in their layout: bit u of entry v is set when u reaches v.
+closure of the upward arcs, built once per subset on S.before and in its
+layout: bit u of entry v is set when u reaches v.
 
 A k-set is reachable from {1, ..., k} when its members can be paired with
 1, ..., k, each reachable from its partner.  These sets are found by a walk
@@ -24,14 +24,14 @@ from functools import lru_cache
 from .hessenberg import Hessenberg
 from .orders import KTuple
 from .perms import Perm
-from .weyl import WeylSubset, _before, _sources, is_acyclic, weyl_subset_of
+from .weyl import WeylSubset, is_acyclic, weyl_subset_of
 
 
 @lru_cache(maxsize=None)
 def reachability_table(S: WeylSubset) -> tuple[int, ...]:
     """Per-vertex bitmasks of the vertices that reach it (bit u of entry v
     for u reaching v; entry 0 is unused): the closure of the upward arcs."""
-    before = _before(S)
+    before = S.before
     table = [0] * (S.n + 1)
     for v in range(1, S.n + 1):
         table[v] = 1 << v
@@ -58,7 +58,7 @@ def sources(S: WeylSubset) -> set[int]:
     included).  Rejects cyclic orientations, which need not have one."""
     if not is_acyclic(S):
         raise ValueError("orientation has a directed cycle")
-    return set(_sources(_before(S), 0))
+    return {v for v in range(1, S.n + 1) if not S.before[v]}
 
 
 def largest_source(S: WeylSubset) -> int:

@@ -72,7 +72,6 @@ from .weyl import (
     max_element,
     min_element,
     weyl_subset_of,
-    weyl_subsets_sorted,
 )
 
 MAX_N = 6
@@ -81,7 +80,7 @@ MAX_N = 6
 # (and a k) or on a pair (w, h).  Bound at import, so that they stay
 # clearable when the module's names are rebound.
 UNIT_CACHES = (
-    weyl_subset_of, enumerate_weyl_subsets, max_element, min_element, class_of,
+    weyl_subset_of, enumerate_weyl_subsets, max_element, class_of,
     reach.reachability_table, reach.reachable_sets, fixed_points_by_reachability,
 )
 
@@ -250,21 +249,21 @@ def _partition(n: int, h: Hessenberg) -> Verdicts:
 
 @_check("interval")
 def _interval(n: int, h: Hessenberg) -> Verdicts:
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         yield S, class_of(S) == class_by_filter(S)
 
 
 @_check("complement-bijection")
 def _complement_bijection(n: int, h: Hessenberg) -> Verdicts:
     w0 = longest_element(n)
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         flipped = frozenset(compose(w0, w) for w in class_of(S))
         yield S, flipped == class_of(complement(S))
 
 
 @_check("minimal-inversions")
 def _minimal_inversions(n: int, h: Hessenberg) -> Verdicts:
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         low = inversion_set(min_element(S))
         yield S, all(
             low <= inversion_set(y)
@@ -275,14 +274,14 @@ def _minimal_inversions(n: int, h: Hessenberg) -> Verdicts:
 
 @_check("orientation-bijection")
 def _orientation_bijection(n: int, h: Hessenberg) -> Verdicts:
-    yield None, enumerate_weyl_subsets(h) == acyclic_orientations_by_enumeration(h)
+    yield None, frozenset(enumerate_weyl_subsets(h)) == acyclic_orientations_by_enumeration(h)
 
 
 @_check("source-induction")
 def _source_induction(n: int, h: Hessenberg) -> Verdicts:
     if n == 1:
         return
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         cls = class_of(S)
         for k in sorted(sources(S)):
             reduced_cls = class_of(induced_subset(S, k))
@@ -295,7 +294,7 @@ def _source_induction(n: int, h: Hessenberg) -> Verdicts:
 
 @_check("reachability-order")
 def _reachability_order(n: int, h: Hessenberg) -> Verdicts:
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         m = max_element(S)
         for j in range(1, n + 1):
             for i in range(j, n + 1):
@@ -304,14 +303,14 @@ def _reachability_order(n: int, h: Hessenberg) -> Verdicts:
 
 @_check("largest-source-reach")
 def _largest_source_reach(n: int, h: Hessenberg) -> Verdicts:
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         k = largest_source(S)
         yield S, all(is_reachable(k, i, S) for i in range(k + 1, n + 1))
 
 
 @_check("reachable-monotone")
 def _reachable_monotone(n: int, h: Hessenberg) -> Verdicts:
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         cls = class_of(S)
         yield S, all(
             w[j - 1] <= w[i - 1]
@@ -324,13 +323,13 @@ def _reachable_monotone(n: int, h: Hessenberg) -> Verdicts:
 
 @_check("source-realization")
 def _source_realization(n: int, h: Hessenberg) -> Verdicts:
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         yield S, {w.index(1) + 1 for w in class_of(S)} == sources(S)
 
 
 @_check("j-set-formula")
 def _j_set_formula(n: int, h: Hessenberg) -> Verdicts:
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         m = max_element(S)
         cls = class_of(S)
         for k in range(1, n):
@@ -347,7 +346,7 @@ def _j_set_formula(n: int, h: Hessenberg) -> Verdicts:
 @_check("main-theorem")
 def _main_theorem(n: int, h: Hessenberg) -> Verdicts:
     w0 = longest_element(n)
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         m = max_element(S)
         yield S, fixed_points_by_reachability(m, h) == bruhat_interval(m, w0)
 
@@ -381,7 +380,7 @@ def _strict_containment(n: int, h: Hessenberg) -> Verdicts:
 @_check("schubert-duality")
 def _schubert_duality(n: int, h: Hessenberg) -> Verdicts:
     w0 = longest_element(n)
-    for S in weyl_subsets_sorted(h):
+    for S in enumerate_weyl_subsets(h):
         translated = frozenset(
             compose(w0, u) for u in fixed_points_by_interval(complement(S))
         )

@@ -12,7 +12,7 @@ in S, and that orientation is acyclic exactly when S has Weyl type.  The
 class is the set of labelings of its topological orders (the k-th vertex
 takes the value k, so the order is w^{-1}); peeling the largest source, the
 smallest, or each in turn gives its maximum, minimum or order ideals, which
-count and list it.  Peels and reach read _before(S): bit u of entry v marks u -> v.
+count and list it.  Peels and reach read S.before: bit u of entry v marks u -> v.
 
 Worked example, h = (3, 4, 4, 4) and S = {(1, 3), (2, 3)}: edges (1, 3)
 and (2, 3) point downward (3 -> 1 and 3 -> 2), the other three edges point
@@ -23,7 +23,7 @@ class maximum (2, 3, 1, 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .hessenberg import (
@@ -53,7 +53,7 @@ class WeylSubset:
 
     The edges of that graph are the roots (j, i), j < i, selected by h;
     those in `roots` point downward (i -> j) and every other edge points
-    upward (j -> i).
+    upward (j -> i).  Equality and hashing read `roots` and `h` only.
     """
 
     roots: frozenset[Root]
@@ -63,23 +63,26 @@ class WeylSubset:
     def n(self) -> int:
         return len(self.h)
 
+    @cached_property
+    def before(self) -> tuple[int, ...]:
+        """The orientation as predecessor bitmasks, built once per instance:
+        bit u of entry v is set when the arc u -> v makes u come before v
+        (entry 0 is unused)."""
+        before = [0] * (self.n + 1)
+        for a, b in hessenberg_roots(self.h):
+            head, tail = (a, b) if (a, b) in self.roots else (b, a)
+            before[head] |= 1 << tail
+        return tuple(before)
+
     def arcs(self) -> frozenset[tuple[int, int]]:
         """All directed pairs (tail, head)."""
+        before = self.before
         return frozenset(
-            (b, a) if (a, b) in self.roots else (a, b) for a, b in hessenberg_roots(self.h)
+            (u, v) for v, into in enumerate(before) for u in range(len(before)) if into >> u & 1
         )
 
 
-def _before(S: WeylSubset) -> list[int]:
-    """Bit u of entry v is set when the arc u -> v makes u come before v."""
-    before = [0] * (S.n + 1)
-    for a, b in hessenberg_roots(S.h):
-        head, tail = (a, b) if (a, b) in S.roots else (b, a)
-        before[head] |= 1 << tail
-    return before
-
-
-def _sources(before: list[int], placed: int) -> list[int]:
+def _sources(before: tuple[int, ...], placed: int) -> list[int]:
     """The sources, increasing, of what is left once placed is removed."""
     return [v for v in range(1, len(before)) if not placed >> v & 1 and not before[v] & ~placed]
 
@@ -87,7 +90,7 @@ def _sources(before: list[int], placed: int) -> list[int]:
 def _peel(S: WeylSubset, pick=max) -> list[int]:
     """Vertices in the order they are removed, each the source of what is
     left that pick chooses; stops short of n when a directed cycle remains."""
-    before = _before(S)
+    before = S.before
     order: list[int] = []
     placed = 0
     while ready := _sources(before, placed):
@@ -161,12 +164,13 @@ def weyl_subset_of(w: Perm, h: Hessenberg) -> WeylSubset:
 
 
 @lru_cache(maxsize=None)
-def enumerate_weyl_subsets(h: Hessenberg) -> frozenset[WeylSubset]:
-    """All Weyl-type subsets for h, as N(w) & (selected roots) for one
-    topological order w^{-1} of each acyclic orientation, grown vertex by
-    vertex: c enters first or just after one of its earlier neighbours, a
-    clique the order ranks totally, and S gains (j, c) for the neighbours
-    after c.  No choice is a dead end or a repeat: prod(1 + a_c) subsets."""
+def enumerate_weyl_subsets(h: Hessenberg) -> tuple[WeylSubset, ...]:
+    """All Weyl-type subsets for h, ordered by their sorted root lists, as
+    N(w) & (selected roots) for one topological order w^{-1} of each
+    acyclic orientation, grown vertex by vertex: c enters first or just
+    after one of its earlier neighbours, a clique the order ranks totally,
+    and S gains (j, c) for the neighbours after c.  No choice is a dead end
+    or a repeat: prod(1 + a_c) subsets."""
     orders: list[Perm] = [()]
     for c in range(1, len(h) + 1):
         orders = [o[:at] + (c,) + o[at:] for o in orders
@@ -176,12 +180,7 @@ def enumerate_weyl_subsets(h: Hessenberg) -> frozenset[WeylSubset]:
     for roots in images:
         if not is_weyl_type(roots, h):
             raise InvariantError(f"grown {sorted(roots)} for h = {list(h)} is not of Weyl type")
-    return frozenset(WeylSubset(roots=roots, h=h) for roots in images)
-
-
-def weyl_subsets_sorted(h: Hessenberg) -> list[WeylSubset]:
-    """The Weyl-type subsets of h, ordered by their sorted root lists."""
-    return sorted(enumerate_weyl_subsets(h), key=lambda S: sorted(S.roots))
+    return tuple(WeylSubset(roots=roots, h=h) for roots in sorted(images, key=sorted))
 
 
 def complement(S: WeylSubset) -> WeylSubset:
@@ -203,7 +202,6 @@ def max_element(S: WeylSubset) -> Perm:
     return inverse(tuple(order))
 
 
-@lru_cache(maxsize=None)
 def min_element(S: WeylSubset) -> Perm:
     """The weak-order minimum of class_of(S): the labeling of the
     topological order that always peels the smallest source of what is
@@ -227,7 +225,7 @@ def min_element(S: WeylSubset) -> Perm:
 def _ideal_counts(S: WeylSubset) -> list[dict[int, int]]:
     """For each size k, the order ideals of S with k vertices, each with its
     number of topological orders; size k + 1 adds one source of what is left."""
-    before = _before(S)
+    before = S.before
     ideals = [{0: 1}]
     for _ in range(S.n):
         grown: dict[int, int] = {}

@@ -11,7 +11,7 @@ import pytest
 from hesscomb import cli, weyl
 from hesscomb.cli import main
 from hesscomb.hessenberg import enumerate_hessenberg
-from hesscomb.weyl import weyl_subsets_sorted
+from hesscomb.weyl import enumerate_weyl_subsets
 
 RANK_NINE = ",".join(["9"] * 9)
 
@@ -332,7 +332,7 @@ def test_output_digest_ranks_one_to_five(capsys):
             runs = [["weyl-subsets", "--h", hs]]
             given = [[]] + [
                 ["--S", ";".join(f"{a},{b}" for a, b in sorted(S.roots))]
-                for S in weyl_subsets_sorted(h)
+                for S in enumerate_weyl_subsets(h)
             ]
             for S in given:
                 for fmt in ("json", "dot"):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from hesscomb.hessenberg import (
 from hesscomb.oracles import acyclic_orientations_by_enumeration, class_by_filter
 from hesscomb.orders import weak_left_leq
 from hesscomb.perms import all_perms, compose, identity, inversion_set, longest_element
+from hesscomb.reach import reachability_table, sources
 from hesscomb.weyl import (
     InvariantError,
     WeylSubset,
@@ -28,7 +30,6 @@ from hesscomb.weyl import (
     max_element,
     min_element,
     weyl_subset_of,
-    weyl_subsets_sorted,
 )
 
 H_EXAMPLE = (3, 4, 4, 4)
@@ -93,8 +94,10 @@ class TestEnumerateSubsets:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_orientation_enumeration(self, n):
+        # the oracle's set, listed in the order of the sorted root lists
         for h in enumerate_hessenberg(n):
-            assert enumerate_weyl_subsets(h) == acyclic_orientations_by_enumeration(h)
+            oracle = acyclic_orientations_by_enumeration(h)
+            assert enumerate_weyl_subsets(h) == tuple(sorted(oracle, key=lambda S: sorted(S.roots)))
 
     def test_matches_restricted_inversion_sets_at_rank_seven(self):
         # the image of S_7 under w -> N(w) & R; the orientation oracle stops
@@ -118,6 +121,29 @@ class TestOrientation:
     def test_empty_subset_points_everything_upward(self):
         S = WeylSubset(frozenset(), H_EXAMPLE)
         assert S.arcs() == hessenberg_roots(H_EXAMPLE)
+
+    def test_orientation_is_built_once_per_subset(self):
+        # a fresh S, with the caches keyed on S emptied so every call needs
+        # the orientation; the profile hook counts runs of the body of
+        # WeylSubset.before, whatever kind of attribute wraps it
+        for cache in (max_element, class_of, reachability_table):
+            cache.cache_clear()
+        S = WeylSubset(S_EXAMPLE, H_EXAMPLE)
+        attribute = vars(WeylSubset)["before"]
+        body = getattr(attribute, "func", None) or attribute.fget
+        builds = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is body.__code__:
+                builds.append(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            class_size(S), max_element(S), min_element(S), class_of(S)
+            reachability_table(S), sources(S)
+        finally:
+            sys.setprofile(None)
+        assert len(builds) == 1
 
     def test_cyclic_orientation_rejected(self):
         # 1 -> 2 -> 3 -> 1 on the triangle
@@ -218,7 +244,7 @@ class TestClasses:
         # the listing grows orientations: no scan of the 10! permutations
         rng = random.Random(10)
         h = rng.choice([h for h in enumerate_hessenberg(10) if 200 <= _orientation_count(h) <= 500])
-        listing = weyl_subsets_sorted(h)
+        listing = enumerate_weyl_subsets(h)
         assert len(listing) == _orientation_count(h)
         for S in listing:
             assert inversion_set(max_element(S)) & hessenberg_roots(h) == S.roots
