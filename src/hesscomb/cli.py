@@ -10,8 +10,8 @@ Subcommands:
 All JSON output uses sorted keys and ends with a newline; identical inputs
 produce byte-identical output regardless of --jobs.  Exit codes: 0 success,
 1 verification failure or route disagreement, 2 usage error (including an
-unwritable --output, both or neither of two exclusive options, and a rank
-above MAX_SCAN_N for weyl-subsets and fixed-points).
+unwritable --output or stdout, both or neither of two exclusive options, and
+a rank above MAX_SCAN_N for weyl-subsets and fixed-points).
 """
 
 from __future__ import annotations
@@ -251,7 +251,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     text, code = args.run(args, args.parser)
     if args.output is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            sys.stdout = None  # it still holds the text, and would fail again at exit
+            args.parser.error(f"cannot write stdout: {exc.strerror}")
         return code
     try:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -37,7 +37,7 @@ def fixed_points_by_reachability(w: Perm, h: Hessenberg) -> frozenset[Perm]:
         {sum(1 << w[t - 1] for t in T) for T in reachable_sets(S, k)}
         for k in range(1, n)
     ] + [{sum(1 << v for v in w)}]
-    return frozenset(with_prefix_sets(images))
+    return with_prefix_sets(images)
 
 
 def fixed_points_by_interval(S: WeylSubset) -> frozenset[Perm]:

@@ -66,8 +66,8 @@ def bruhat_interval(lo: Perm, hi: Perm) -> frozenset[Perm]:
     if len(hi) != n:
         raise ValueError(f"size mismatch: {n} vs {len(hi)}")
     bounds = [(sorted(lo[:k]), sorted(hi[:k])) for k in range(1, n + 1)]
-    return frozenset(with_prefix_sets([
+    return with_prefix_sets([
         {sum(1 << v for v in t) for t in combinations(range(1, n + 1), len(low))
          if ktuple_leq(low, t) and ktuple_leq(t, high)}
         for low, high in bounds
-    ]))
+    ])

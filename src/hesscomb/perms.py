@@ -131,14 +131,14 @@ def all_perms(n: int) -> tuple[Perm, ...]:
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
-def with_prefix_sets(allowed: Sequence[Iterable[int]]) -> list[Perm]:
-    """The permutations u of [n], n = len(allowed), in lexicographic order,
-    whose first k values form a bitmask (bit v for value v) in allowed[k - 1].
+def with_prefix_sets(allowed: Sequence[Iterable[int]]) -> frozenset[Perm]:
+    """The set of permutations u of [n], n = len(allowed), whose first k
+    values form a bitmask (bit v for value v) in allowed[k - 1].
     The prefixes of a mask are those of the mask less one value v, extended by v.
 
-    >>> with_prefix_sets([{0b10, 0b100}, {0b110}])
+    >>> sorted(with_prefix_sets([{0b10, 0b100}, {0b110}]))
     [(1, 2), (2, 1)]
-    >>> with_prefix_sets([{0b10, 0b1000}, {0b110}, {0b1110}])  # {3} extends to nothing
+    >>> sorted(with_prefix_sets([{0b10, 0b1000}, {0b110}, {0b1110}]))  # {3} extends to nothing
     [(1, 2, 3)]
     """
     n = len(allowed)
@@ -146,4 +146,4 @@ def with_prefix_sets(allowed: Sequence[Iterable[int]]) -> list[Perm]:
     for family in allowed:
         groups = {mask: [u + (v,) for v in range(1, n + 1) if mask >> v & 1
                          for u in groups.get(mask & ~(1 << v), ())] for mask in family}
-    return sorted(u for prefixes in groups.values() for u in prefixes)
+    return frozenset(u for prefixes in groups.values() for u in prefixes)

@@ -284,12 +284,11 @@ def _source_induction(n: int, h: Hessenberg) -> Verdicts:
     for S in enumerate_weyl_subsets(h):
         cls = class_of(S)
         for k in sorted(sources(S)):
-            reduced_cls = class_of(induced_subset(S, k))
+            # y -> (1, y + 1) c_k is a bijection from S_{n-1} onto {w : w(k) = 1}
             cyc = front_cycle(n, k)
-            yield S, all(
-                (compose((1,) + tuple(v + 1 for v in y), cyc) in cls) == (y in reduced_cls)
-                for y in all_perms(n - 1)
-            )
+            lifted = {compose((1,) + tuple(v + 1 for v in y), cyc)
+                      for y in class_of(induced_subset(S, k))}
+            yield S, lifted == {w for w in cls if w[k - 1] == 1}
 
 
 @_check("reachability-order")

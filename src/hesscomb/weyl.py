@@ -263,15 +263,8 @@ def induced_subset(S: WeylSubset, k: int) -> WeylSubset:
     """
     if not 1 <= k <= S.n:
         raise ValueError(f"vertex out of range: {k}")
-    reduced = delete_vertex(S.h, k)
-
-    def relabel(v: int) -> int:
-        return v - 1 if v > k else v
-
-    roots = frozenset(
-        (relabel(a), relabel(b)) for a, b in S.roots if a != k and b != k
-    )
-    out = WeylSubset(roots=roots, h=reduced)
+    roots = frozenset(tuple(v - 1 if v > k else v for v in r) for r in S.roots if k not in r)
+    out = WeylSubset(roots=roots, h=delete_vertex(S.h, k))
     if not is_weyl_type(out.roots, out.h):
         raise InvariantError(f"S with vertex {k} deleted is not of Weyl type")
     return out

@@ -1,6 +1,8 @@
 """Command line interface: output formats, exit codes, determinism."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -377,6 +379,40 @@ class TestOutputPlumbing:
         assert out == ""
         assert "cannot write --output" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_unwritable_stdout_is_usage_error(self, capsys, monkeypatch, failing):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                if failing == "write":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return len(text)
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code, _, err = run_cli(["weyl-subsets", "--h", "2,2"], capsys)
+        assert code == 2
+        assert "cannot write stdout: No space left on device" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_device_exits_two(self, unbuffered):
+        # the status of the whole process: Python flushes stdout again at
+        # exit, and a failure there would turn the status into 120
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hesscomb", "weyl-subsets", "--h", "2,2"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 2
+        assert "cannot write stdout: No space left on device" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
     def test_repeat_runs_byte_identical(self, capsys):
         _, first, _ = run_cli(["weyl-subsets", "--h", "3,4,4,4"], capsys)

@@ -184,7 +184,7 @@ def test_with_prefix_sets_matches_filter(allowed):
     n = len(allowed)
     expected = [u for u in itertools.permutations(range(1, n + 1))
                 if all(_mask(u[:k]) in allowed[k - 1] for k in range(1, n + 1))]
-    assert with_prefix_sets(allowed) == expected
+    assert with_prefix_sets(allowed) == set(expected)
 
 
 def test_only_sweep_modules_bind_all_perms():

@@ -217,6 +217,16 @@ def test_failure_records(monkeypatch):
         assert record["operation"] == "interval"
 
 
+def test_source_induction_failure_records(monkeypatch):
+    # empty reduced classes lift to nothing, but every source has a
+    # nonempty slice of its class, so each (S, source) verdict fails
+    real = verify.class_of
+    monkeypatch.setattr(verify, "class_of", lambda S: frozenset() if S.n == 2 else real(S))
+    summary, discrepancies = run_suite(3, lemma="source-induction")
+    assert summary["lemmas"]["source-induction"] == {"checked": 22, "failures": 22}
+    assert {d["operation"] for d in discrepancies} == {"source-induction"}
+
+
 # the records of a failing rank-3 run, recorded with one unit per (check, h):
 # check-major, h in enumeration order, S in sorted order within h
 INTERVAL_FAILURES = [

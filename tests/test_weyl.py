@@ -319,6 +319,18 @@ class TestCounts:
         for h in enumerate_hessenberg(n):
             assert _poincare_from_classes(h) == _poincare(h)
 
+    def test_class_count_at_rank_eight(self):
+        # a seeded sample: the largest sampled h has 5,760 classes
+        for h in random.Random(8).sample(list(enumerate_hessenberg(8)), 60):
+            assert len(enumerate_weyl_subsets(h)) == _orientation_count(h)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_class_total_is_double_factorial(self, n):
+        # an observation with no source at hand: summed over every h of
+        # rank n, prod(1 + a_i) is (2n - 1)!! = 1 * 3 * ... * (2n - 1)
+        total = sum(map(_orientation_count, enumerate_hessenberg(n)))
+        assert total == math.prod(range(1, 2 * n, 2))
+
     def test_poincare_polynomial_from_class_sizes_at_rank_seven(self):
         # a seeded sample: all 429 h take several seconds
         for h in random.Random(7).sample(list(enumerate_hessenberg(7)), 60):
