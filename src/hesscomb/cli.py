@@ -8,10 +8,13 @@ Subcommands:
   verify         run the named property checks at a given rank
 
 All JSON output uses sorted keys and ends with a newline; identical inputs
-produce byte-identical output regardless of --jobs.  Exit codes: 0 success,
+produce byte-identical output regardless of --jobs.  fixed-points lists each
+set in lexicographic order; when both routes agree, the one listing is sorted
+and encoded once and printed under both keys.  Exit codes: 0 success,
 1 verification failure or route disagreement, 2 usage error (including an
-unwritable --output or stdout, both or neither of two exclusive options, and
-a rank above MAX_SCAN_N for weyl-subsets and fixed-points).
+unwritable --output or stdout, buffered or not, both or neither of two
+exclusive options, and a rank above MAX_SCAN_N for weyl-subsets and
+fixed-points).
 """
 
 from __future__ import annotations
@@ -83,8 +86,9 @@ def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _sorted_perms(perms) -> list[list[int]]:
-    return [list(p) for p in sorted(perms)]
+def _sorted_json(perms) -> str:
+    """A permutation set as its JSON array, in lexicographic order."""
+    return json.dumps(sorted(perms))
 
 
 def _cmd_weyl_subsets(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
@@ -115,18 +119,16 @@ def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
             parser.error(f"--w has {len(w)} entries but h has {len(args.h)}")
 
     if args.method == "chl":
-        return _json(_sorted_perms(fixed_points_by_reachability(w, args.h))), 0
+        return _sorted_json(fixed_points_by_reachability(w, args.h)) + "\n", 0
     if args.method == "interval":
-        return _json(_sorted_perms(fixed_points_by_translation(w, args.h))), 0
+        return _sorted_json(fixed_points_by_translation(w, args.h)) + "\n", 0
     direct = fixed_points_by_reachability(w, args.h)
     interval = fixed_points_by_translation(w, args.h)
-    agree = direct == interval
-    payload = {
-        "agree": agree,
-        "chl": _sorted_perms(direct),
-        "interval": _sorted_perms(interval),
-    }
-    return _json(payload), 0 if agree else 1
+    chl = _sorted_json(direct)
+    if direct == interval:
+        # the agreed listing is sorted and encoded once, and laid out as _json would
+        return f'{{"agree": true, "chl": {chl}, "interval": {chl}}}\n', 0
+    return f'{{"agree": false, "chl": {chl}, "interval": {_sorted_json(interval)}}}\n', 1
 
 
 def _graph_dot(h: Hessenberg, S: Optional[WeylSubset]) -> str:
@@ -247,13 +249,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of text to stdout, or raise OSError.
+
+    Under python -u the text layer passes its bytes to the raw file in one
+    write and drops the count of a short write, so the bytes go to the binary
+    layer here, again and again until all of them are out.
+    """
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:  # a text-only stream, such as io.StringIO
+        out.write(text)
+        out.flush()
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding))
+    while data:
+        data = data[binary.write(data):]
+    binary.flush()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     text, code = args.run(args, args.parser)
     if args.output is None:
         try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write_stdout(text)
         except OSError as exc:
             sys.stdout = None  # it still holds the text, and would fail again at exit
             args.parser.error(f"cannot write stdout: {exc.strerror}")

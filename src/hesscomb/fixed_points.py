@@ -62,7 +62,8 @@ def fixed_points_by_translation(v: Perm, h: Hessenberg) -> frozenset[Perm]:
             f"length identity fails: len(m) != len(v) + len(u) for v = {list(v)}, m = {list(m)}"
         )
     top = longest_element(len(v))
-    return frozenset(compose(u, x) for x in bruhat_interval(m, top))
+    at = ((0,) + u).__getitem__  # u on 1-based values
+    return frozenset(tuple(map(at, x)) for x in bruhat_interval(m, top))
 
 
 def schubert_fixed_points(S: WeylSubset) -> frozenset[Perm]:

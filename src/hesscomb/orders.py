@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import le
 
 from .perms import Perm, inversion_set, with_prefix_sets
 
@@ -66,8 +67,9 @@ def bruhat_interval(lo: Perm, hi: Perm) -> frozenset[Perm]:
     if len(hi) != n:
         raise ValueError(f"size mismatch: {n} vs {len(hi)}")
     bounds = [(sorted(lo[:k]), sorted(hi[:k])) for k in range(1, n + 1)]
+    # every candidate t has the length of its bounds, so no length check is needed
     return with_prefix_sets([
         {sum(1 << v for v in t) for t in combinations(range(1, n + 1), len(low))
-         if ktuple_leq(low, t) and ktuple_leq(t, high)}
+         if all(map(le, low, t)) and all(map(le, t, high))}
         for low, high in bounds
     ])

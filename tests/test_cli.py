@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,10 +13,15 @@ import pytest
 
 from hesscomb import cli, weyl
 from hesscomb.cli import main
+from hesscomb.fixed_points import fixed_points_by_reachability
 from hesscomb.hessenberg import enumerate_hessenberg
 from hesscomb.weyl import enumerate_weyl_subsets
 
 RANK_NINE = ",".join(["9"] * 9)
+
+
+def sorted_lists(perms):
+    return [list(p) for p in sorted(perms)]
 
 
 def run_cli(argv, capsys):
@@ -97,6 +103,10 @@ class TestFixedPoints:
         assert payload["agree"] is True
         assert payload["chl"] == payload["interval"]
         assert len(payload["chl"]) == 12
+        # the hand-written layout is that of json.dumps with sorted keys
+        listing = sorted_lists(fixed_points_by_reachability((2, 3, 1, 4), (3, 4, 4, 4)))
+        payload = {"agree": True, "chl": listing, "interval": listing}
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
 
     def test_longest_element_is_alone(self, capsys):
         code, out, _ = run_cli(
@@ -174,6 +184,13 @@ class TestFixedPoints:
         )
         assert code == 1
         assert json.loads(out)["agree"] is False
+        # each side is sorted and encoded on its own
+        payload = {
+            "agree": False,
+            "chl": sorted_lists(fixed_points_by_reachability((2, 3, 1, 4), (3, 4, 4, 4))),
+            "interval": [[1, 2, 3, 4]],
+        }
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 class TestGraph:
@@ -359,6 +376,35 @@ def test_weyl_subsets_digest_rank_six(capsys):
     assert digest.hexdigest() == OUTPUT_DIGEST_RANK_6
 
 
+# SHA-256 of every `fixed-points` output and exit code below, in enumerate_hessenberg
+# and lexicographic order.
+OUTPUT_DIGEST_FIXED_POINTS = "9c5f5a3518e2253310a48745973dd98e543b8d4ac84076966872c4ecd0d5680a"
+
+
+def test_fixed_points_digest_ranks_one_to_five(capsys):
+    # every (h, w) at ranks 1-4 with each --method, every Weyl-type subset at
+    # ranks 1-4 as --S, and every rank-5 (h, w) with --method both (6,277 outputs)
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        methods = ("chl", "interval", "both") if n < 5 else ("both",)
+        for h in enumerate_hessenberg(n):
+            hs = ",".join(map(str, h))
+            runs = [
+                ["--w", ",".join(map(str, w)), "--method", method]
+                for w in itertools.permutations(range(1, n + 1))
+                for method in methods
+            ]
+            if n < 5:
+                runs += [
+                    ["--S", ";".join(f"{a},{b}" for a, b in sorted(S.roots))]
+                    for S in enumerate_weyl_subsets(h)
+                ]
+            for rest in runs:
+                code, out, _ = run_cli(["fixed-points", "--h", hs, *rest], capsys)
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == OUTPUT_DIGEST_FIXED_POINTS
+
+
 class TestOutputPlumbing:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "graph.json"
@@ -413,6 +459,27 @@ class TestOutputPlumbing:
         assert "cannot write stdout: No space left on device" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_exits_two(self, unbuffered):
+        # the 116 kB listing outgrows a 64 KiB pipe, so the reader closes it while
+        # the writer still has bytes to send; unbuffered, the first write is short
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hesscomb", "fixed-points", "--h", "7,7,7,7,7,7,7",
+             "--w", "1,2,3,4,5,6,7", "--method", "chl"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(10) == b"[[1, 2, 3,"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert "cannot write stdout: Broken pipe" in err
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
 
     def test_repeat_runs_byte_identical(self, capsys):
         _, first, _ = run_cli(["weyl-subsets", "--h", "3,4,4,4"], capsys)
