@@ -11,6 +11,8 @@ from .fixed_points import (
     fixed_points_by_interval,
     fixed_points_by_reachability,
     fixed_points_by_translation,
+    interval_family,
+    reachability_family,
     reducibility_witness,
     schubert_fixed_points,
 )
@@ -25,6 +27,7 @@ from .hessenberg import (
 )
 from .orders import (
     KTuple,
+    bruhat_family,
     bruhat_interval,
     bruhat_leq,
     ktuple_leq,

@@ -9,12 +9,15 @@ Subcommands:
 
 All JSON output uses sorted keys and ends with a newline; identical inputs
 produce byte-identical output regardless of --jobs.  fixed-points lists each
-set in lexicographic order; when both routes agree, the one listing is sorted
-and encoded once and printed under both keys.  Exit codes: 0 success,
-1 verification failure or route disagreement, 2 usage error (including an
-unwritable --output or stdout, buffered or not, both or neither of two
-exclusive options, and a rank above MAX_SCAN_N for weyl-subsets and
-fixed-points).
+set in lexicographic order.  With --method both it builds each route's
+family of allowed prefix sets and grows only the reachability listing: equal
+families grow equal sets, so that listing is sorted and encoded once and
+printed under both keys.  Only when the families differ is the interval
+listing grown, and the verdict is then the equality of the two listings.
+Exit codes: 0 success, 1 verification failure or route disagreement, 2 usage
+error (including an unwritable --output or stdout, buffered or not, both or
+neither of two exclusive options, and a rank above MAX_SCAN_N for
+weyl-subsets and fixed-points).
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from typing import Optional
 from .fixed_points import (
     fixed_points_by_reachability,
     fixed_points_by_translation,
+    interval_family,
+    reachability_family,
 )
 from .hessenberg import Hessenberg, hessenberg_roots, validate_hessenberg
 from .perms import Perm, validate_perm
@@ -123,12 +128,15 @@ def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     if args.method == "interval":
         return _sorted_json(fixed_points_by_translation(w, args.h)) + "\n", 0
     direct = fixed_points_by_reachability(w, args.h)
-    interval = fixed_points_by_translation(w, args.h)
     chl = _sorted_json(direct)
-    if direct == interval:
-        # the agreed listing is sorted and encoded once, and laid out as _json would
-        return f'{{"agree": true, "chl": {chl}, "interval": {chl}}}\n', 0
-    return f'{{"agree": false, "chl": {chl}, "interval": {_sorted_json(interval)}}}\n', 1
+    # both routes grow their sets from their families by with_prefix_sets, so
+    # equal families grow equal sets; only differing ones need the interval listing
+    if reachability_family(w, args.h) != interval_family(w, args.h):
+        interval = fixed_points_by_translation(w, args.h)
+        if direct != interval:
+            return f'{{"agree": false, "chl": {chl}, "interval": {_sorted_json(interval)}}}\n', 1
+    # the agreed listing is sorted and encoded once, and laid out as _json would
+    return f'{{"agree": true, "chl": {chl}, "interval": {chl}}}\n', 0
 
 
 def _graph_dot(h: Hessenberg, S: Optional[WeylSubset]) -> str:

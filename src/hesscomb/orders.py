@@ -3,16 +3,16 @@ Partial orders on the symmetric group and on increasing k-tuples.
 
 Bruhat order is decided by the sorted-prefix (tableau) criterion: w <= v
 exactly when, for every k, the sorted first k values of w are componentwise
-at most those of v.  bruhat_interval grows its members by the same
-criterion through perms.with_prefix_sets, with no scan of all n!
+at most those of v.  bruhat_family writes the same criterion as one family
+of allowed prefix sets per k, and bruhat_interval grows its members from
+that family through perms.with_prefix_sets, with no scan of all n!
 permutations.  Weak left order is inversion-set containment.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from operator import le
+from typing import Optional
 
 from .perms import Perm, inversion_set, with_prefix_sets
 
@@ -60,16 +60,29 @@ def weak_left_leq(u: Perm, v: Perm) -> bool:
     return inversion_set(u) <= inversion_set(v)
 
 
-@lru_cache(maxsize=None)
-def bruhat_interval(lo: Perm, hi: Perm) -> frozenset[Perm]:
-    """All v with lo <= v <= hi in Bruhat order; empty when lo is not below hi."""
+def bruhat_family(lo: Perm, hi: Perm, shift: Optional[Perm] = None) -> list[set[int]]:
+    """The prefix sets of [lo, hi]: for each k, the k-sets (bit v for value v)
+    whose sorted values lie componentwise between the sorted first k values
+    of lo and of hi.  With shift, those of the translate shift [lo, hi]: each
+    value x stands as shift(x)."""
     n = len(lo)
     if len(hi) != n:
         raise ValueError(f"size mismatch: {n} vs {len(hi)}")
-    bounds = [(sorted(lo[:k]), sorted(hi[:k])) for k in range(1, n + 1)]
-    # every candidate t has the length of its bounds, so no length check is needed
-    return with_prefix_sets([
-        {sum(1 << v for v in t) for t in combinations(range(1, n + 1), len(low))
-         if all(map(le, low, t)) and all(map(le, t, high))}
-        for low, high in bounds
-    ])
+    values = range(1, n + 1) if shift is None else shift
+    bit = [0] + [1 << v for v in values]  # bit[x] stands for the value x, or shift(x)
+    family = []
+    for k in range(1, n + 1):
+        # the increasing k-tuples within the bounds, grown entry by entry,
+        # each held as its mask and its last entry
+        grown = [(0, 0)]
+        for low, high in zip(sorted(lo[:k]), sorted(hi[:k])):
+            grown = [(mask | bit[x], x) for mask, last in grown
+                     for x in range(max(low, last + 1), high + 1)]
+        family.append({mask for mask, _ in grown})
+    return family
+
+
+@lru_cache(maxsize=None)
+def bruhat_interval(lo: Perm, hi: Perm) -> frozenset[Perm]:
+    """All v with lo <= v <= hi in Bruhat order; empty when lo is not below hi."""
+    return with_prefix_sets(bruhat_family(lo, hi))

@@ -18,12 +18,15 @@ Root = tuple[int, int]
 
 
 def validate_perm(values: Iterable[int]) -> Perm:
-    """Return values as a tuple, checking it is a bijection of {1, ..., n}.
+    """Return values as a tuple, checking it is a bijection of {1, ..., n}
+    for some n >= 1.
 
     >>> validate_perm([2, 3, 1, 4])
     (2, 3, 1, 4)
     """
     w = tuple(values)
+    if not w:
+        raise ValueError("n must be >= 1, got 0")
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {list(w)}")
     return w

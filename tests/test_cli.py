@@ -13,8 +13,13 @@ import pytest
 
 from hesscomb import cli, weyl
 from hesscomb.cli import main
-from hesscomb.fixed_points import fixed_points_by_reachability
+from hesscomb.fixed_points import (
+    fixed_points_by_reachability,
+    fixed_points_by_translation,
+    interval_family,
+)
 from hesscomb.hessenberg import enumerate_hessenberg
+from hesscomb.perms import with_prefix_sets
 from hesscomb.weyl import enumerate_weyl_subsets
 
 RANK_NINE = ",".join(["9"] * 9)
@@ -178,6 +183,12 @@ class TestFixedPoints:
             "hesscomb.cli.fixed_points_by_translation",
             lambda w, h: frozenset({tuple(range(1, len(w) + 1))}),
         )
+        # and its family with it (the prefixes {1, ..., k} of the identity),
+        # so that the families differ and the listings decide
+        monkeypatch.setattr(
+            "hesscomb.cli.interval_family",
+            lambda w, h: [{(2 << k) - 2} for k in range(1, len(w) + 1)],
+        )
         code, out, _ = run_cli(
             ["fixed-points", "--h", "3,4,4,4", "--w", "2,3,1,4", "--method", "both"],
             capsys,
@@ -191,6 +202,28 @@ class TestFixedPoints:
             "interval": [[1, 2, 3, 4]],
         }
         assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+    def test_families_differ_but_listings_agree(self, capsys, monkeypatch):
+        # a dead-end mask ({1} at k = 1, which no allowed 2-set extends) makes
+        # the families differ while growing the same set: the listings decide
+        argv = ["fixed-points", "--h", "3,4,4,4", "--w", "2,3,1,4", "--method", "both"]
+        want = run_cli(argv, capsys)
+        family = interval_family((2, 3, 1, 4), (3, 4, 4, 4))
+        patched = [family[0] | {0b10}, *family[1:]]
+        assert patched != family
+        assert with_prefix_sets(patched) == with_prefix_sets(family)
+        monkeypatch.setattr("hesscomb.cli.interval_family", lambda w, h: patched)
+        listed = []
+
+        def counted(w, h):
+            listed.append((w, h))
+            return fixed_points_by_translation(w, h)
+
+        monkeypatch.setattr("hesscomb.cli.fixed_points_by_translation", counted)
+        assert run_cli(argv, capsys) == want
+        assert want[0] == 0
+        assert json.loads(want[1])["agree"] is True
+        assert listed == [((2, 3, 1, 4), (3, 4, 4, 4))]
 
 
 class TestGraph:
@@ -403,6 +436,29 @@ def test_fixed_points_digest_ranks_one_to_five(capsys):
                 code, out, _ = run_cli(["fixed-points", "--h", hs, *rest], capsys)
                 digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == OUTPUT_DIGEST_FIXED_POINTS
+
+
+# SHA-256 of `fixed-points --h 8,8,8,8,8,8,8,8 --w 1,2,3,4,5,6,7,8 --method both`:
+# all 40,320 permutations, listed under both keys.
+OUTPUT_DIGEST_RANK_8_BOTH = "083e292e7dd3d4f8c308781a69f390a76e5ba2fc786c3bba7d44e6f2a0ae7cdc"
+
+
+def test_rank_eight_agreement_lists_once(capsys, monkeypatch, no_enumeration):
+    # equal families decide the agreement: the interval listing is never grown
+    def forbidden(*args):
+        raise AssertionError("the interval listing was grown")
+
+    monkeypatch.setattr("hesscomb.cli.fixed_points_by_translation", forbidden)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hesscomb" and hasattr(module, "bruhat_interval"):
+            monkeypatch.setattr(module, "bruhat_interval", forbidden)
+    code, out, _ = run_cli(
+        ["fixed-points", "--h", ",".join(["8"] * 8), "--w", "1,2,3,4,5,6,7,8",
+         "--method", "both"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGEST_RANK_8_BOTH
 
 
 class TestOutputPlumbing:

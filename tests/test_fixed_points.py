@@ -6,18 +6,22 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
 
 from hesscomb.fixed_points import (
     dimension_report,
     fixed_points_by_interval,
     fixed_points_by_reachability,
     fixed_points_by_translation,
+    interval_family,
+    reachability_family,
     reducibility_witness,
     schubert_fixed_points,
 )
 from hesscomb.hessenberg import enumerate_hessenberg, hessenberg_roots
 from hesscomb.orders import bruhat_interval, sort_action
-from hesscomb.perms import all_perms, compose, identity, longest_element
+from hesscomb.perms import all_perms, compose, identity, longest_element, with_prefix_sets
 from hesscomb.reach import reachable_tuples
 from hesscomb.weyl import (
     WeylSubset,
@@ -146,6 +150,66 @@ class TestTranslationRoute:
             schubert_fixed_points(complement(weyl_subset_of(w, h)))
 
 
+def _check_families(w, h):
+    chl, interval = reachability_family(w, h), interval_family(w, h)
+    assert with_prefix_sets(chl) == fixed_points_by_reachability(w, h)
+    assert with_prefix_sets(interval) == fixed_points_by_translation(w, h)
+    assert chl == interval
+
+
+@st.composite
+def rank_six_or_seven_inputs(draw):
+    n = draw(st.integers(min_value=6, max_value=7))
+    h = draw(st.sampled_from(list(enumerate_hessenberg(n))))
+    return tuple(draw(st.permutations(range(1, n + 1)))), h
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_family_grows_its_listing(self, n):
+        for h in enumerate_hessenberg(n):
+            for w in all_perms(n):
+                _check_families(w, h)
+
+    @seed(15)
+    @given(rank_six_or_seven_inputs())
+    def test_sampled_at_ranks_six_and_seven(self, case):
+        _check_families(*case)
+
+    def test_interval_family_never_reaches_reachability(self, monkeypatch):
+        import hesscomb.fixed_points
+
+        def forbidden(*args):
+            raise AssertionError("the interval family used reachability")
+
+        monkeypatch.setattr(hesscomb.fixed_points, "reachable_sets", forbidden)
+        rng = random.Random(15)
+        for h in rng.sample(list(enumerate_hessenberg(7)), 20):
+            w = tuple(rng.sample(range(1, 8), 7))
+            assert w in with_prefix_sets(interval_family(w, h))
+
+    def test_reachability_family_never_reaches_the_interval(self, monkeypatch):
+        import hesscomb.fixed_points
+
+        def forbidden(*args):
+            raise AssertionError("the reachability family used the interval route")
+
+        for name in ("bruhat_family", "bruhat_interval", "max_element"):
+            monkeypatch.setattr(hesscomb.fixed_points, name, forbidden)
+        rng = random.Random(15)
+        for h in rng.sample(list(enumerate_hessenberg(7)), 20):
+            w = tuple(rng.sample(range(1, 8), 7))
+            assert w in with_prefix_sets(reachability_family(w, h))
+
+    @pytest.mark.parametrize("route", [
+        fixed_points_by_reachability, fixed_points_by_translation,
+        reachability_family, interval_family,
+    ])
+    def test_rank_zero_is_rejected(self, route):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            route((), ())
+
+
 class TestSchubertRoute:
     def test_empty_subset_at_full_function(self):
         h = (4, 4, 4, 4)
@@ -231,6 +295,33 @@ def test_invariant_survives_optimized_mode():
         fp.max_element = lambda S: tuple(range(1, S.n + 1))
         try:
             fp.fixed_points_by_translation((2, 1, 3), (2, 3, 3))
+        except InvariantError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(3)
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "length identity" in proc.stdout
+
+
+def test_interval_family_invariant_survives_optimized_mode():
+    # the interval family shares the translation step, and with it the
+    # length identity check, which must raise under python -O
+    script = textwrap.dedent("""
+        import sys
+        import hesscomb.fixed_points as fp
+        from hesscomb import InvariantError
+        if not sys.flags.optimize:
+            sys.exit(4)
+        fp.max_element = lambda S: tuple(range(1, S.n + 1))
+        try:
+            fp.interval_family((2, 1, 3), (2, 3, 3))
         except InvariantError as exc:
             print(exc)
             sys.exit(0)

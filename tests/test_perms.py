@@ -111,6 +111,10 @@ class TestGroupOperations:
         with pytest.raises(ValueError):
             validate_perm([0, 1, 2])
 
+    def test_validate_perm_rejects_empty(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            validate_perm([])
+
     @given(same_size_perms(count=1))
     def test_inverse_involution(self, perms):
         (w,) = perms
