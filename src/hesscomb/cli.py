@@ -35,7 +35,7 @@ from .fixed_points import (
     reachability_family,
 )
 from .hessenberg import Hessenberg, hessenberg_roots, validate_hessenberg
-from .perms import Perm, validate_perm
+from .perms import Perm, validate_perm, with_prefix_sets
 from .verify import MAX_N, lemma_names, run_suite
 from .weyl import (
     WeylSubset,
@@ -127,11 +127,11 @@ def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
         return _sorted_json(fixed_points_by_reachability(w, args.h)) + "\n", 0
     if args.method == "interval":
         return _sorted_json(fixed_points_by_translation(w, args.h)) + "\n", 0
-    direct = fixed_points_by_reachability(w, args.h)
+    family = reachability_family(w, args.h)
+    direct = with_prefix_sets(family)
     chl = _sorted_json(direct)
-    # both routes grow their sets from their families by with_prefix_sets, so
-    # equal families grow equal sets; only differing ones need the interval listing
-    if reachability_family(w, args.h) != interval_family(w, args.h):
+    # equal families grow equal sets, so only differing ones need the interval listing
+    if family != interval_family(w, args.h):
         interval = fixed_points_by_translation(w, args.h)
         if direct != interval:
             return f'{{"agree": false, "chl": {chl}, "interval": {_sorted_json(interval)}}}\n', 1

@@ -41,7 +41,8 @@ def ktuple_leq(a: KTuple, b: KTuple) -> bool:
 
 def bruhat_leq(w: Perm, v: Perm) -> bool:
     """Bruhat order via sorted prefixes: for every k < n the sorted first k
-    values of w must be componentwise <= those of v.
+    values of w must be componentwise <= those of v.  A pair-by-pair reference
+    with its own tests; verify and the interval route use bruhat_interval.
 
     >>> bruhat_leq((2, 3, 1, 4), (2, 3, 4, 1))
     True

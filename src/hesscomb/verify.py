@@ -4,14 +4,16 @@ Named property checks swept over all Hessenberg functions of a given rank.
 Every check either passes silently or reports failing (n, h, S, operation)
 records; the CLI `verify` command aggregates them into a summary.  Checks
 are registered under stable kebab-case names so a single one can be run in
-isolation.  A unit of work is one rank-global check, or one Hessenberg
-function h with every requested per-h check run on it in name order, so
-the checks on one h share the caches of the fixed point sets and reachable
-sets of its classes.  No key of those caches recurs on another h, so they
-end with their unit: UNIT_CACHES lists them, and each per-h unit clears
-them when it ends.  Sweeps parallelize over a process pool, and the
-results are put back in (check, h) order, so the aggregation is
-deterministic and independent of the job count.
+isolation.  The checks take Bruhat order from orders.bruhat_interval, the
+order of the interval route, the rank-global ones as up-rows of [w, w0];
+orders.bruhat_leq is tested on its own.  A unit of work is one
+rank-global check, or one Hessenberg function h with every requested per-h
+check run on it in name order, so the checks on one h share the caches of
+the fixed point sets and reachable sets of its classes.  No key of those
+caches recurs on another h, so they end with their unit: UNIT_CACHES lists
+them, and each per-h unit clears them when it ends.  Sweeps parallelize
+over a process pool, and the results are put back in (check, h) order, so
+the aggregation is deterministic and independent of the job count.
 
 Verdict protocol: a check is a generator over one rank n (registered with
 per_h=False) or one Hessenberg function h of rank n.  It yields one
@@ -50,7 +52,7 @@ from .oracles import (
     bruhat_leq_by_covers,
     class_by_filter,
 )
-from .orders import bruhat_interval, bruhat_leq, ktuple_leq, sort_action, weak_left_leq
+from .orders import bruhat_interval, ktuple_leq, sort_action, weak_left_leq
 from .perms import (
     all_perms,
     apply_to_root,
@@ -151,12 +153,18 @@ def _enumeration_count(n: int) -> Verdicts:
     yield None, len(perms) == math.factorial(n) == len(set(perms))
 
 
+def _bruhat_up_rows(n: int) -> list[int]:
+    """Row i has bit j set when all_perms(n)[i] <= all_perms(n)[j] in Bruhat
+    order: the members of bruhat_interval(all_perms(n)[i], w0)."""
+    index = {v: j for j, v in enumerate(all_perms(n))}
+    w0 = longest_element(n)
+    return [sum(1 << index[v] for v in bruhat_interval(w, w0)) for w in all_perms(n)]
+
+
 @_check("bruhat-partial-order", per_h=False)
 def _bruhat_partial_order(n: int) -> Verdicts:
-    # up[i] has bit j set when perms[i] <= perms[j]; one verdict per pair
-    # covers reflexivity, antisymmetry and transitivity at once
-    perms = all_perms(n)
-    up = [sum(1 << j for j, v in enumerate(perms) if bruhat_leq(w, v)) for w in perms]
+    # one verdict per pair covers reflexivity, antisymmetry and transitivity at once
+    up = _bruhat_up_rows(n)
     for i, above_i in enumerate(up):
         for j, above_j in enumerate(up):
             if above_i >> j & 1:
@@ -168,26 +176,27 @@ def _bruhat_partial_order(n: int) -> Verdicts:
 @_check("bruhat-oracle", per_h=False)
 def _bruhat_oracle(n: int) -> Verdicts:
     perms = all_perms(n)
-    for w in perms:
-        for v in perms:
-            yield None, bruhat_leq(w, v) == bruhat_leq_by_covers(w, v)
+    for w, above in zip(perms, _bruhat_up_rows(n)):
+        for j, v in enumerate(perms):
+            yield None, bool(above >> j & 1) == bruhat_leq_by_covers(w, v)
 
 
 @_check("weak-implies-bruhat", per_h=False)
 def _weak_implies_bruhat(n: int) -> Verdicts:
     perms = all_perms(n)
-    for u in perms:
-        for v in perms:
-            yield None, not weak_left_leq(u, v) or bruhat_leq(u, v)
+    for u, above in zip(perms, _bruhat_up_rows(n)):
+        for j, v in enumerate(perms):
+            yield None, not weak_left_leq(u, v) or bool(above >> j & 1)
 
 
 @_check("weak-order-reversal", per_h=False)
 def _weak_order_reversal(n: int) -> Verdicts:
     perms = all_perms(n)
     w0 = longest_element(n)
-    for u in perms:
-        for v in perms:
-            yield None, weak_left_leq(u, v) == weak_left_leq(compose(w0, v), compose(w0, u))
+    flips = [compose(w0, v) for v in perms]
+    for u, flip_u in zip(perms, flips):
+        for v, flip_v in zip(perms, flips):
+            yield None, weak_left_leq(u, v) == weak_left_leq(flip_v, flip_u)
 
 
 # ---------------------------------------------------------------------------

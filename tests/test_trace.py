@@ -24,7 +24,9 @@ import hesscomb.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["verify", "--n", "3"]),
              cli.main(["fixed-points", "--h", "3,4,4,4", "--w", "2,3,1,4",
-                       "--method", "both"])]
+                       "--method", "both"]),
+             cli.main(["fixed-points", "--h", "3,4,4,4", "--w", "2,3,1,4",
+                       "--method", "chl"])]
 snap = tracer.snapshot()
 print(json.dumps({{"codes": codes, "spans": sorted(snap["spans"]),
                    "caches": snap["caches"]}}))
@@ -36,7 +38,7 @@ def test_tracer_installs_and_records_spans_and_caches():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0, 0, 0]
     assert "verify.main-theorem" in report["spans"]
     assert "reach.reachable_tuples" in report["spans"]
     cache = report["caches"]["fixed_points.fixed_points_by_reachability"]

@@ -12,7 +12,9 @@ import hesscomb
 from hesscomb import verify
 from hesscomb.cli import main
 from hesscomb.fixed_points import fixed_points_by_reachability
-from hesscomb.orders import bruhat_interval
+from hesscomb.oracles import _cover_closure
+from hesscomb.orders import bruhat_interval, bruhat_leq
+from hesscomb.perms import all_perms
 from hesscomb.reach import reachable_sets
 from hesscomb.verify import GLOBAL_CHECKS, MAX_N, PER_H_CHECKS, lemma_names, run_suite
 
@@ -215,6 +217,39 @@ def test_failure_records(monkeypatch):
         assert set(record) == {"n", "h", "S", "operation"}
         assert record["n"] == 3
         assert record["operation"] == "interval"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bruhat_up_rows_match_bruhat_leq_and_cover_closure(n):
+    perms = all_perms(n)
+    by_leq = [sum(1 << j for j, v in enumerate(perms) if bruhat_leq(w, v)) for w in perms]
+    index, above = _cover_closure(n)
+    assert index == {p: j for j, p in enumerate(perms)}
+    assert verify._bruhat_up_rows(n) == by_leq == above
+    assert "bruhat_leq" not in vars(verify)
+
+
+# failures at rank 3 when the identity's row loses the bit of w0: the pair
+# (e, w0) in the oracle and weak-order checks, and in the partial-order check
+# every (e, v) with e < v < w0, since v's row then escapes the identity's
+ROW_FAILURES = {"bruhat-oracle": 1, "bruhat-partial-order": 4, "weak-implies-bruhat": 1}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_FAILURES))
+def test_row_checks_catch_a_missing_bit(monkeypatch, name):
+    real = verify._bruhat_up_rows
+
+    def broken(n):
+        up = real(n)
+        up[0] &= ~(1 << len(up) - 1)
+        return up
+
+    monkeypatch.setattr(verify, "_bruhat_up_rows", broken)
+    summary, discrepancies = run_suite(3, lemma=name)
+    failures = ROW_FAILURES[name]
+    assert summary["ok"] is False
+    assert summary["lemmas"][name] == {"checked": 36, "failures": failures}
+    assert discrepancies == [{"n": 3, "h": None, "S": None, "operation": name}] * failures
 
 
 def test_source_induction_failure_records(monkeypatch):
