@@ -24,7 +24,7 @@ from functools import lru_cache
 from .hessenberg import Hessenberg
 from .orders import KTuple
 from .perms import Perm
-from .weyl import WeylSubset, is_acyclic, weyl_subset_of
+from .weyl import WeylSubset, _ready, is_acyclic, weyl_subset_of
 
 
 @lru_cache(maxsize=None)
@@ -58,7 +58,8 @@ def sources(S: WeylSubset) -> set[int]:
     included).  Rejects cyclic orientations, which need not have one."""
     if not is_acyclic(S):
         raise ValueError("orientation has a directed cycle")
-    return {v for v in range(1, S.n + 1) if not S.before[v]}
+    ready = _ready(S.before)
+    return {v for v in range(1, S.n + 1) if ready >> v & 1}
 
 
 def largest_source(S: WeylSubset) -> int:

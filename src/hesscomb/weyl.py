@@ -12,7 +12,8 @@ in S, and that orientation is acyclic exactly when S has Weyl type.  The
 class is the set of labelings of its topological orders (the k-th vertex
 takes the value k, so the order is w^{-1}); peeling the largest source, the
 smallest, or each in turn gives its maximum, minimum or order ideals, which
-count and list it.  Peels and reach read S.before: bit u of entry v marks u -> v.
+count and list it.  Peels and reach read S.before: bit u of entry v marks u -> v;
+a peel keeps the ready vertices as a mask, and placing v tests only S.after[v].
 
 Worked example, h = (3, 4, 4, 4) and S = {(1, 3), (2, 3)}: edges (1, 3)
 and (2, 3) point downward (3 -> 1 and 3 -> 2), the other three edges point
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import xor
 from typing import Iterable, Optional
 
 from .hessenberg import (
@@ -74,6 +76,16 @@ class WeylSubset:
             before[head] |= 1 << tail
         return tuple(before)
 
+    @cached_property
+    def after(self) -> tuple[int, ...]:
+        """before transposed, built once per instance: bit v of entry u marks u -> v."""
+        after = [0] * len(self.before)
+        for v, into in enumerate(self.before):
+            while into:
+                after[(into & -into).bit_length() - 1] |= 1 << v
+                into &= into - 1
+        return tuple(after)
+
     def arcs(self) -> frozenset[tuple[int, int]]:
         """All directed pairs (tail, head)."""
         before = self.before
@@ -82,20 +94,31 @@ class WeylSubset:
         )
 
 
-def _sources(before: tuple[int, ...], placed: int) -> list[int]:
-    """The sources, increasing, of what is left once placed is removed."""
-    return [v for v in range(1, len(before)) if not placed >> v & 1 and not before[v] & ~placed]
+def _ready(before: tuple[int, ...], placed: int = 0, among: Optional[int] = None) -> int:
+    """The vertices of among (default: all), none of them placed, whose
+    predecessors are all placed, as a mask.  Placing v can make ready only
+    the successors of v, so the peels pass among = S.after[v]."""
+    ready = 0
+    among = (1 << len(before)) - 2 if among is None else among
+    while among:
+        bit = among & -among
+        among ^= bit
+        if not before[bit.bit_length() - 1] & ~placed:
+            ready |= bit
+    return ready
 
 
-def _peel(S: WeylSubset, pick=max) -> list[int]:
-    """Vertices in the order they are removed, each the source of what is
-    left that pick chooses; stops short of n when a directed cycle remains."""
-    before = S.before
+def _peel(S: WeylSubset, smallest: bool = False) -> list[int]:
+    """Vertices in the order they are removed, each the largest (or smallest)
+    source of what is left; stops short of n when a directed cycle remains."""
     order: list[int] = []
     placed = 0
-    while ready := _sources(before, placed):
-        order.append(pick(ready))
-        placed |= 1 << order[-1]
+    ready = _ready(S.before)
+    while ready:
+        bit = ready & -ready if smallest else 1 << ready.bit_length() - 1
+        placed |= bit
+        order.append(bit.bit_length() - 1)
+        ready = ready ^ bit | _ready(S.before, placed, S.after[order[-1]])
     return order
 
 
@@ -118,17 +141,17 @@ def find_closure_violation(
     subset = frozenset(roots)
     stray = subset - allowed
     if stray:
-        raise ValueError(
-            f"root {min(stray)} is not selected by h = {list(h)}"
-        )
-    for side, part in (("subset", subset), ("complement", allowed - subset)):
-        by_first: dict[int, list[Root]] = {}
-        for r in part:
-            by_first.setdefault(r[0], []).append(r)
-        for a, b in part:
-            for _, c in by_first.get(b, ()):
-                if (a, c) in allowed and (a, c) not in part:
-                    return ((a, b), (b, c), side)
+        raise ValueError(f"root {min(stray)} is not selected by h = {list(h)}")
+    # bit c of entry a marks (a, c) as selected, or as a root of the subset
+    selected = [0] + [(2 << h[a - 1]) - (2 << a) for a in range(1, len(h) + 1)]
+    inside = [0] * len(selected)
+    for a, c in subset:
+        inside[a] |= 1 << c
+    for side, out in (("subset", inside), ("complement", list(map(xor, selected, inside)))):
+        for a, b in allowed:
+            missing = out[b] & selected[a] & ~out[a]
+            if missing and out[a] >> b & 1:
+                return ((a, b), (b, (missing & -missing).bit_length() - 1), side)
     return None
 
 
@@ -170,17 +193,17 @@ def enumerate_weyl_subsets(h: Hessenberg) -> tuple[WeylSubset, ...]:
     acyclic orientation, grown vertex by vertex: c enters first or just
     after one of its earlier neighbours, a clique the order ranks totally,
     and S gains (j, c) for the neighbours after c.  No choice is a dead end
-    or a repeat: prod(1 + a_c) subsets."""
+    or a repeat: prod(1 + a_c) subsets.  S is read off w over the sorted roots."""
     orders: list[Perm] = [()]
     for c in range(1, len(h) + 1):
         orders = [o[:at] + (c,) + o[at:] for o in orders
                   for at in [0] + [i + 1 for i, j in enumerate(o) if h[j - 1] >= c]]
-    allowed = hessenberg_roots(h)
-    images = {inversion_set(inverse(o)) & allowed for o in orders}
-    for roots in images:
-        if not is_weyl_type(roots, h):
-            raise InvariantError(f"grown {sorted(roots)} for h = {list(h)} is not of Weyl type")
-    return tuple(WeylSubset(roots=roots, h=h) for roots in sorted(images, key=sorted))
+    roots = sorted(hessenberg_roots(h))
+    images = {tuple([r for r in roots if w[r[0] - 1] > w[r[1] - 1]]) for w in map(inverse, orders)}
+    for image in images:
+        if not is_weyl_type(image, h):
+            raise InvariantError(f"grown {list(image)} for h = {list(h)} is not of Weyl type")
+    return tuple(WeylSubset(roots=frozenset(image), h=h) for image in sorted(images))
 
 
 def complement(S: WeylSubset) -> WeylSubset:
@@ -206,12 +229,12 @@ def min_element(S: WeylSubset) -> Perm:
     """The weak-order minimum of class_of(S): the labeling of the
     topological order that always peels the smallest source of what is
     left."""
-    order = _peel(S, pick=min)
+    order = _peel(S, smallest=True)
     if len(order) != S.n:
         raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
     z = inverse(tuple(order))
     allowed = hessenberg_roots(S.h)
-    if inversion_set(z) & allowed != S.roots:
+    if {(a, b) for a, b in allowed if z[a - 1] > z[b - 1]} != S.roots:
         raise InvariantError(f"class minimum {list(z)} does not have the roots of S")
     # minimality criterion: z^{-1} (the peel order) applied to each negative
     # simple root, whenever positive, must be a selected root
@@ -225,13 +248,19 @@ def min_element(S: WeylSubset) -> Perm:
 def _ideal_counts(S: WeylSubset) -> list[dict[int, int]]:
     """For each size k, the order ideals of S with k vertices, each with its
     number of topological orders; size k + 1 adds one source of what is left."""
-    before = S.before
     ideals = [{0: 1}]
+    ready = {0: _ready(S.before)}  # each ideal's sources, as a mask
     for _ in range(S.n):
         grown: dict[int, int] = {}
         for ideal, count in ideals[-1].items():
-            for v in _sources(before, ideal):
-                grown[ideal | 1 << v] = grown.get(ideal | 1 << v, 0) + count
+            left = ready[ideal]
+            while left:
+                bit = left & -left
+                left ^= bit
+                if ideal | bit not in grown:
+                    ready[ideal | bit] = ready[ideal] ^ bit | _ready(
+                        S.before, ideal | bit, S.after[bit.bit_length() - 1])
+                grown[ideal | bit] = grown.get(ideal | bit, 0) + count
         ideals.append(grown)
     if not ideals[-1]:
         raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -407,6 +408,20 @@ def test_weyl_subsets_digest_rank_six(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == OUTPUT_DIGEST_RANK_6
+
+
+# SHA-256 of `weyl-subsets --h H` for 40 rank-7 h drawn by random.Random(7).sample
+# from enumerate_hessenberg(7), in the order drawn.
+OUTPUT_DIGEST_RANK_7_SAMPLE = "e5b38cac397e1de8f91829cdb5b5b7c3052db6d7521964eb48802d23a49ce3a9"
+
+
+def test_weyl_subsets_digest_rank_seven_sample(capsys):
+    digest = hashlib.sha256()
+    for h in random.Random(7).sample(list(enumerate_hessenberg(7)), 40):
+        code, out, _ = run_cli(["weyl-subsets", "--h", ",".join(map(str, h))], capsys)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == OUTPUT_DIGEST_RANK_7_SAMPLE
 
 
 # SHA-256 of every `fixed-points` output and exit code below, in enumerate_hessenberg

@@ -1,11 +1,16 @@
 """Weyl-type subsets, the class partition, and acyclic orientations."""
 
+import itertools
+import json
 import math
 import random
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
+from hesscomb import cli
 from hesscomb.hessenberg import (
     enumerate_hessenberg,
     hessenberg_length,
@@ -23,6 +28,7 @@ from hesscomb.weyl import (
     class_size,
     complement,
     enumerate_weyl_subsets,
+    find_closure_violation,
     induced_subset,
     is_acyclic,
     is_weyl_type,
@@ -66,6 +72,32 @@ class TestWeylType:
         for h in enumerate_hessenberg(4):
             for w in all_perms(4):
                 assert is_weyl_type(inversion_set(w) & hessenberg_roots(h), h)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_subset_of_the_selected_roots(self, n):
+        # the closure test against root addition written out here, and
+        # against the acyclicity of the orientation (the module docstring's
+        # theorem); a returned violation must be a real one
+        for h in enumerate_hessenberg(n):
+            allowed = hessenberg_roots(h)
+            for size in range(len(allowed) + 1):
+                for subset in map(frozenset, itertools.combinations(sorted(allowed), size)):
+                    sides = {"subset": subset, "complement": allowed - subset}
+                    closed = all(
+                        (a, d) in part
+                        for part in sides.values()
+                        for a, b in part
+                        for c, d in part
+                        if b == c and (a, d) in allowed
+                    )
+                    assert is_weyl_type(subset, h) == closed
+                    assert is_acyclic(WeylSubset(subset, h)) == closed
+                    violation = find_closure_violation(subset, h)
+                    if violation is not None:
+                        (a, b), (c, d), side = violation
+                        part = sides[side]
+                        assert b == c and (a, b) in part and (c, d) in part
+                        assert (a, d) in allowed and (a, d) not in part
 
 
 class TestSubsetOf:
@@ -386,3 +418,62 @@ class TestInducedSubset:
                     for y in all_perms(n - 1):
                         lift = (1,) + tuple(v + 1 for v in y)
                         assert (compose(lift, cyc) in cls) == (y in reduced_cls)
+
+
+def test_listing_makes_no_inversion_set_call(capsys, monkeypatch):
+    # a listing reads N(w) & R off the grown orders' positions, and the
+    # class minimum checks its roots the same way
+    def forbidden(w):
+        raise AssertionError(f"inversion_set({w}) was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hesscomb" and hasattr(module, "inversion_set"):
+            monkeypatch.setattr(module, "inversion_set", forbidden)
+    enumerate_weyl_subsets.cache_clear()
+    max_element.cache_clear()
+    assert cli.main(["weyl-subsets", "--h", "7,7,7,7,7,7,7"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 5040
+    assert all(r["class_size"] == 1 and r["w_max"] == r["z_min"] for r in records)
+
+
+def test_class_invariants_survive_optimized_mode():
+    # a cyclic S has no class, and min_element checks what the peel gives
+    # it; every check must still raise when python -O strips asserts
+    script = textwrap.dedent("""
+        import json
+        import sys
+        from hesscomb import weyl
+        from hesscomb.weyl import InvariantError, WeylSubset
+        if not sys.flags.optimize:
+            sys.exit(4)
+        caught = []
+
+        def attempt(operation, S):
+            try:
+                operation(S)
+            except InvariantError as exc:
+                caught.append(str(exc))
+
+        cyclic = WeylSubset(frozenset({(1, 3)}), (3, 3, 3))
+        for operation in (weyl.class_size, weyl.max_element, weyl.min_element):
+            attempt(operation, cyclic)
+        peel = weyl._peel
+        weyl._peel = lambda S, smallest=False: peel(S)  # the max peel
+        attempt(weyl.min_element, WeylSubset(frozenset(), (1, 2, 3)))
+        weyl._peel = lambda S, smallest=False: list(range(1, S.n + 1))
+        attempt(weyl.min_element, WeylSubset(frozenset({(1, 2)}), (2, 2)))
+        print(json.dumps(caught))
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    caught = json.loads(proc.stdout)
+    assert len(caught) == 5
+    assert all("directed cycle" in message for message in caught[:3])
+    assert "minimality criterion" in caught[3]
+    assert "does not have the roots of S" in caught[4]
