@@ -67,6 +67,7 @@ from .weyl import (
     induced_subset,
     is_acyclic,
     is_weyl_type,
+    list_classes,
     make_weyl_subset,
     max_element,
     min_element,

@@ -37,14 +37,7 @@ from .fixed_points import (
 from .hessenberg import Hessenberg, hessenberg_roots, validate_hessenberg
 from .perms import Perm, validate_perm, with_prefix_sets
 from .verify import MAX_N, lemma_names, run_suite
-from .weyl import (
-    WeylSubset,
-    class_size,
-    enumerate_weyl_subsets,
-    make_weyl_subset,
-    max_element,
-    min_element,
-)
+from .weyl import WeylSubset, list_classes, make_weyl_subset, max_element
 
 
 # neither scans S_n (weyl-subsets counts classes on order ideals), but at h = (n, ..., n)
@@ -99,13 +92,8 @@ def _sorted_json(perms) -> str:
 def _cmd_weyl_subsets(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     _cap_scan_rank(args.h, parser)
     records = [
-        {
-            "S": [list(r) for r in sorted(S.roots)],
-            "class_size": class_size(S),
-            "w_max": list(max_element(S)),
-            "z_min": list(min_element(S)),
-        }
-        for S in enumerate_weyl_subsets(args.h)
+        {"S": image, "class_size": size, "w_max": w, "z_min": z}
+        for image, size, w, z in list_classes(args.h)
     ]
     return _json(records), 0
 

@@ -15,6 +15,14 @@ smallest, or each in turn gives its maximum, minimum or order ideals, which
 count and list it.  Peels and reach read S.before: bit u of entry v marks u -> v;
 a peel keeps the ready vertices as a mask, and placing v tests only S.after[v].
 
+A listing of every class of h (list_classes) peels nothing, by two lemmas.
+First, the order that enumerate_weyl_subsets grows for S is its
+largest-source peel, so its inverse is the class maximum.  Second,
+w -> w0 w maps class(S) onto class(R \\ S) and reverses weak order, since
+N(w0 w) is the complement of N(w); so the class minimum of S is w0 times
+the class maximum of R \\ S, and the two classes have the same size, which
+the order ideals count once per complementary pair.
+
 Worked example, h = (3, 4, 4, 4) and S = {(1, 3), (2, 3)}: edges (1, 3)
 and (2, 3) point downward (3 -> 1 and 3 -> 2), the other three edges point
 upward, the largest source of the digraph is 3, and the peel gives the
@@ -25,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import xor
-from typing import Iterable, Optional
+from operator import and_, itemgetter, xor
+from typing import Iterable, Optional, Sequence
 
 from .hessenberg import (
     Hessenberg,
@@ -94,7 +102,7 @@ class WeylSubset:
         )
 
 
-def _ready(before: tuple[int, ...], placed: int = 0, among: Optional[int] = None) -> int:
+def _ready(before: Sequence[int], placed: int = 0, among: Optional[int] = None) -> int:
     """The vertices of among (default: all), none of them placed, whose
     predecessors are all placed, as a mask.  Placing v can make ready only
     the successors of v, so the peels pass among = S.after[v]."""
@@ -128,6 +136,33 @@ def is_acyclic(S: WeylSubset) -> bool:
     return len(_peel(S)) == S.n
 
 
+def _selected_masks(h: Hessenberg) -> list[int]:
+    """R as out-masks: bit c of entry a marks (a, c) as selected by h
+    (entry 0 is unused)."""
+    return [0] + [(2 << h[a - 1]) - (2 << a) for a in range(1, len(h) + 1)]
+
+
+def _root_masks(roots: Iterable[Root], n: int) -> list[int]:
+    """roots as out-masks: bit c of entry a marks (a, c) (entry 0 is unused)."""
+    inside = [0] * (n + 1)
+    for a, c in roots:
+        inside[a] |= 1 << c
+    return inside
+
+
+def _closure_violation(
+    inside: Sequence[int], selected: list[int], allowed: Iterable[Root]
+) -> Optional[tuple[Root, Root, str]]:
+    """find_closure_violation on out-masks: bit c of inside[a] marks (a, c)
+    as a root of S, and selected is _selected_masks(h)."""
+    for side, out in (("subset", inside), ("complement", list(map(xor, selected, inside)))):
+        for a, b in allowed:
+            missing = out[b] & selected[a] & ~out[a]
+            if missing and out[a] >> b & 1:
+                return ((a, b), (b, (missing & -missing).bit_length() - 1), side)
+    return None
+
+
 def find_closure_violation(
     roots: Iterable[Root], h: Hessenberg
 ) -> Optional[tuple[Root, Root, str]]:
@@ -142,17 +177,7 @@ def find_closure_violation(
     stray = subset - allowed
     if stray:
         raise ValueError(f"root {min(stray)} is not selected by h = {list(h)}")
-    # bit c of entry a marks (a, c) as selected, or as a root of the subset
-    selected = [0] + [(2 << h[a - 1]) - (2 << a) for a in range(1, len(h) + 1)]
-    inside = [0] * len(selected)
-    for a, c in subset:
-        inside[a] |= 1 << c
-    for side, out in (("subset", inside), ("complement", list(map(xor, selected, inside)))):
-        for a, b in allowed:
-            missing = out[b] & selected[a] & ~out[a]
-            if missing and out[a] >> b & 1:
-                return ((a, b), (b, (missing & -missing).bit_length() - 1), side)
-    return None
+    return _closure_violation(_root_masks(subset, len(h)), _selected_masks(h), allowed)
 
 
 def is_weyl_type(roots: Iterable[Root], h: Hessenberg) -> bool:
@@ -186,24 +211,58 @@ def weyl_subset_of(w: Perm, h: Hessenberg) -> WeylSubset:
     return S
 
 
+def _placed_before(order: Sequence[int], size: int) -> list[int]:
+    """Entry v (of size entries): the vertices before v in order, as a mask."""
+    placed_before = [0] * size
+    placed = 0
+    for v in order:
+        placed_before[v] = placed
+        placed |= 1 << v
+    return placed_before
+
+
+def _grow(h: Hessenberg) -> list[tuple[tuple[Root, ...], Perm, tuple[int, ...]]]:
+    """One (image, order, inside) per acyclic orientation, sorted by image.
+
+    order is a topological order w^{-1}, grown vertex by vertex: c enters
+    first or just after one of its earlier neighbours, a clique the order
+    ranks totally, and S gains (j, c) for the neighbours after c.  No choice
+    is a dead end or a repeat: prod(1 + a_c) orders.  Bit c of inside[a]
+    marks (a, c) in N(w) & R, read off the order's positions, and image lists
+    those roots sorted.  R's masks are built once, for the growth and the
+    closure test that re-checks each grown subset."""
+    selected = _selected_masks(h)
+    roots = sorted(hessenberg_roots(h))
+    orders: list[Perm] = [()]
+    for c in range(1, len(h) + 1):
+        orders = [o[:at] + (c,) + o[at:] for o in orders
+                  for at in [0] + [i + 1 for i, j in enumerate(o) if selected[j] >> c & 1]]
+    grown = []
+    for order in orders:
+        inside = tuple(map(and_, selected, _placed_before(order, len(selected))))
+        image = tuple([r for r in roots if inside[r[0]] >> r[1] & 1])
+        if _closure_violation(inside, selected, roots) is not None:
+            raise InvariantError(f"grown {list(image)} for h = {list(h)} is not of Weyl type")
+        grown.append((image, order, inside))
+    grown.sort(key=itemgetter(0))
+    return grown
+
+
 @lru_cache(maxsize=None)
 def enumerate_weyl_subsets(h: Hessenberg) -> tuple[WeylSubset, ...]:
     """All Weyl-type subsets for h, ordered by their sorted root lists, as
     N(w) & (selected roots) for one topological order w^{-1} of each
-    acyclic orientation, grown vertex by vertex: c enters first or just
-    after one of its earlier neighbours, a clique the order ranks totally,
-    and S gains (j, c) for the neighbours after c.  No choice is a dead end
-    or a repeat: prod(1 + a_c) subsets.  S is read off w over the sorted roots."""
-    orders: list[Perm] = [()]
-    for c in range(1, len(h) + 1):
-        orders = [o[:at] + (c,) + o[at:] for o in orders
-                  for at in [0] + [i + 1 for i, j in enumerate(o) if h[j - 1] >= c]]
-    roots = sorted(hessenberg_roots(h))
-    images = {tuple([r for r in roots if w[r[0] - 1] > w[r[1] - 1]]) for w in map(inverse, orders)}
-    for image in images:
-        if not is_weyl_type(image, h):
-            raise InvariantError(f"grown {list(image)} for h = {list(h)} is not of Weyl type")
-    return tuple(WeylSubset(roots=frozenset(image), h=h) for image in sorted(images))
+    acyclic orientation (see _grow).
+
+    Two lemmas let list_classes read each class off these orders:
+    - the grown order is the largest-source peel, so w is max_element(S):
+      vertex c is the largest label so far, and it enters first or just
+      after an earlier neighbour, which is then its last predecessor;
+    - w -> w0 w maps class(S) onto class(R \\ S) and reverses weak order,
+      since N(w0 w) is the complement of N(w); so min_element(S) is
+      w0 max_element(R \\ S), and the two classes have the same size.
+    """
+    return tuple(WeylSubset(roots=frozenset(image), h=h) for image, _, _ in _grow(h))
 
 
 def complement(S: WeylSubset) -> WeylSubset:
@@ -225,6 +284,30 @@ def max_element(S: WeylSubset) -> Perm:
     return inverse(tuple(order))
 
 
+def _check_maximum(w: Perm, order: Sequence[int], selected: list[int]) -> None:
+    """Raise unless w, whose inverse is order, passes the maximality
+    criterion: whenever values k and k + 1 sit at positions a < b, the
+    swap that would raise w in weak order must change S, so (a, b) must
+    be a selected root (selected is _selected_masks(h))."""
+    for a, b in zip(order, order[1:]):
+        if a < b and not selected[a] >> b & 1:
+            raise InvariantError(f"class maximum {list(w)} fails the maximality criterion")
+
+
+def _check_minimum(
+    z: Perm, order: Sequence[int], inside: Sequence[int], selected: list[int]
+) -> None:
+    """Raise unless z, whose inverse is order, has the roots of S (bit c of
+    inside[a] marks (a, c) in S) and passes the minimality criterion: z^{-1}
+    applied to each negative simple root, whenever positive, must be a
+    selected root."""
+    if tuple(map(and_, selected, _placed_before(order, len(selected)))) != tuple(inside):
+        raise InvariantError(f"class minimum {list(z)} does not have the roots of S")
+    for b, a in zip(order, order[1:]):
+        if a < b and not selected[a] >> b & 1:
+            raise InvariantError(f"class minimum {list(z)} fails the minimality criterion")
+
+
 def min_element(S: WeylSubset) -> Perm:
     """The weak-order minimum of class_of(S): the labeling of the
     topological order that always peels the smallest source of what is
@@ -233,24 +316,18 @@ def min_element(S: WeylSubset) -> Perm:
     if len(order) != S.n:
         raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
     z = inverse(tuple(order))
-    allowed = hessenberg_roots(S.h)
-    if {(a, b) for a, b in allowed if z[a - 1] > z[b - 1]} != S.roots:
-        raise InvariantError(f"class minimum {list(z)} does not have the roots of S")
-    # minimality criterion: z^{-1} (the peel order) applied to each negative
-    # simple root, whenever positive, must be a selected root
-    for i in range(1, S.n):
-        a, b = order[i], order[i - 1]
-        if a < b and (a, b) not in allowed:
-            raise InvariantError(f"class minimum {list(z)} fails the minimality criterion")
+    _check_minimum(z, order, _root_masks(S.roots, S.n), _selected_masks(S.h))
     return z
 
 
-def _ideal_counts(S: WeylSubset) -> list[dict[int, int]]:
-    """For each size k, the order ideals of S with k vertices, each with its
-    number of topological orders; size k + 1 adds one source of what is left."""
+def _ideal_counts(before: Sequence[int], after: Sequence[int]) -> list[dict[int, int]]:
+    """For each size k, the order ideals with k vertices of the orientation
+    with predecessor masks before and successor masks after (as in
+    WeylSubset), each with its number of topological orders; size k + 1
+    adds one source of what is left."""
     ideals = [{0: 1}]
-    ready = {0: _ready(S.before)}  # each ideal's sources, as a mask
-    for _ in range(S.n):
+    ready = {0: _ready(before)}  # each ideal's sources, as a mask
+    for _ in range(len(before) - 1):
         grown: dict[int, int] = {}
         for ideal, count in ideals[-1].items():
             left = ready[ideal]
@@ -259,11 +336,12 @@ def _ideal_counts(S: WeylSubset) -> list[dict[int, int]]:
                 left ^= bit
                 if ideal | bit not in grown:
                     ready[ideal | bit] = ready[ideal] ^ bit | _ready(
-                        S.before, ideal | bit, S.after[bit.bit_length() - 1])
+                        before, ideal | bit, after[bit.bit_length() - 1])
                 grown[ideal | bit] = grown.get(ideal | bit, 0) + count
         ideals.append(grown)
     if not ideals[-1]:
-        raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
+        raise InvariantError(f"the orientation with predecessor masks {list(before)} "
+                             "has a directed cycle")
     return ideals
 
 
@@ -273,14 +351,50 @@ def class_size(S: WeylSubset) -> int:
     >>> class_size(WeylSubset(frozenset(), (1, 2, 3, 4)))
     24
     """
-    return sum(_ideal_counts(S)[-1].values())
+    return sum(_ideal_counts(S.before, S.after)[-1].values())
+
+
+def list_classes(h: Hessenberg) -> list[tuple[tuple[Root, ...], int, Perm, Perm]]:
+    """(sorted roots of S, class_size(S), max_element(S), min_element(S)) for
+    each Weyl-type subset S of h, in enumerate_weyl_subsets order, read off
+    the grown orders (see enumerate_weyl_subsets for the two lemmas): each
+    maximum is its grown order inverted, each minimum w0 times the maximum
+    of the complement, and the order ideals are walked once per
+    complementary pair.  Every extreme is checked, none is peeled."""
+    grown = _grow(h)
+    selected = _selected_masks(h)
+    neighbours = [0] * len(selected)
+    for a, c in hessenberg_roots(h):
+        neighbours[a] |= 1 << c
+        neighbours[c] |= 1 << a
+    pair = {inside: k for k, (_, _, inside) in enumerate(grown)}
+    listing: list[tuple[tuple[Root, ...], int, Perm, Perm]] = []
+    for k, (image, order, inside) in enumerate(grown):
+        w = inverse(order)
+        _check_maximum(w, order, selected)
+        j = pair.get(tuple(map(xor, selected, inside)))
+        if j is None:
+            raise InvariantError(f"the complement of {list(image)} for h = {list(h)} was not grown")
+        if j < k:
+            size = listing[j][1]
+        else:
+            # S's arcs run from each vertex to its neighbours after it in order
+            placed_before = _placed_before(order, len(selected))
+            before = list(map(and_, neighbours, placed_before))
+            after = [into & ~placed for into, placed in zip(neighbours, placed_before)]
+            size = sum(_ideal_counts(before, after)[-1].values())
+        mirrored = grown[j][1][::-1]  # the inverse of w0 max_element(R \ S)
+        z = inverse(mirrored)
+        _check_minimum(z, mirrored, inside, selected)
+        listing.append((image, size, w, z))
+    return listing
 
 
 @lru_cache(maxsize=None)
 def class_of(S: WeylSubset) -> frozenset[Perm]:
     """All w with N(w) & (selected roots) = S, the weak-order interval from
     min_element(S) to max_element(S), grown on the order ideals of S."""
-    return frozenset(map(inverse, with_prefix_sets(_ideal_counts(S)[1:])))
+    return frozenset(map(inverse, with_prefix_sets(_ideal_counts(S.before, S.after)[1:])))
 
 
 def induced_subset(S: WeylSubset, k: int) -> WeylSubset:

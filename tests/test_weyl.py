@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from hesscomb import cli
+from hesscomb import cli, weyl
 from hesscomb.hessenberg import (
     enumerate_hessenberg,
     hessenberg_length,
@@ -32,6 +32,7 @@ from hesscomb.weyl import (
     induced_subset,
     is_acyclic,
     is_weyl_type,
+    list_classes,
     make_weyl_subset,
     max_element,
     min_element,
@@ -437,6 +438,31 @@ def test_listing_makes_no_inversion_set_call(capsys, monkeypatch):
     assert all(r["class_size"] == 1 and r["w_max"] == r["z_min"] for r in records)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_listing_matches_the_per_class_operations(n):
+    # each record read off the grown orders equals the per-class peels and
+    # order-ideal count it stands in for
+    for h in enumerate_hessenberg(n):
+        listing = list_classes(h)
+        subsets = enumerate_weyl_subsets(h)
+        assert [image for image, _, _, _ in listing] == [tuple(sorted(S.roots)) for S in subsets]
+        for (_, size, w_max, z_min), S in zip(listing, subsets):
+            assert (size, w_max, z_min) == (class_size(S), max_element(S), min_element(S))
+
+
+def test_listing_peels_nothing_and_leaves_max_element_cache_empty(capsys, monkeypatch):
+    # every maximum is a grown order and every minimum is read off the
+    # complement's, so a listing neither peels nor fills max_element's cache
+    def forbidden(S, smallest=False):
+        raise AssertionError(f"_peel({sorted(S.roots)}) was called")
+
+    monkeypatch.setattr(weyl, "_peel", forbidden)
+    max_element.cache_clear()
+    assert cli.main(["weyl-subsets", "--h", "7,7,7,7,7,7,7"]) == 0
+    assert max_element.cache_info().currsize == 0
+    assert len(json.loads(capsys.readouterr().out)) == 5040
+
+
 def test_class_invariants_survive_optimized_mode():
     # a cyclic S has no class, and min_element checks what the peel gives
     # it; every check must still raise when python -O strips asserts
@@ -463,6 +489,17 @@ def test_class_invariants_survive_optimized_mode():
         attempt(weyl.min_element, WeylSubset(frozenset(), (1, 2, 3)))
         weyl._peel = lambda S, smallest=False: list(range(1, S.n + 1))
         attempt(weyl.min_element, WeylSubset(frozenset({(1, 2)}), (2, 2)))
+        # h = (1, 2) has one class, S_2 with maximum (2, 1); the identity
+        # order is another topological order of it
+        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0))]
+        attempt(weyl.list_classes, (1, 2))
+        # h = (2, 2): given the order (1, 2) for the complement {(1, 2)} of
+        # the empty S, the minimum read off it is (2, 1), which has the root
+        # (1, 2) that S lacks
+        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0)), (((1, 2),), (1, 2), (0, 4, 0))]
+        attempt(weyl.list_classes, (2, 2))
+        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0))]  # no complement
+        attempt(weyl.list_classes, (2, 2))
         print(json.dumps(caught))
     """)
     proc = subprocess.run(
@@ -473,7 +510,10 @@ def test_class_invariants_survive_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     caught = json.loads(proc.stdout)
-    assert len(caught) == 5
+    assert len(caught) == 8
     assert all("directed cycle" in message for message in caught[:3])
     assert "minimality criterion" in caught[3]
     assert "does not have the roots of S" in caught[4]
+    assert "class maximum [1, 2] fails the maximality criterion" in caught[5]
+    assert "class minimum [2, 1] does not have the roots of S" in caught[6]
+    assert "the complement of [] for h = [2, 2] was not grown" in caught[7]
