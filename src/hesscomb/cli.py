@@ -9,11 +9,12 @@ Subcommands:
 
 All JSON output uses sorted keys and ends with a newline; identical inputs
 produce byte-identical output regardless of --jobs.  fixed-points lists each
-set in lexicographic order.  With --method both it builds each route's
-family of allowed prefix sets and grows only the reachability listing: equal
-families grow equal sets, so that listing is sorted and encoded once and
-printed under both keys.  Only when the families differ is the interval
-listing grown, and the verdict is then the equality of the two listings.
+set in lexicographic order; the reachability listing is grown in that order.
+With --method both it builds each route's family of allowed prefix sets and
+grows only the reachability listing: equal families grow equal sets, so that
+listing is encoded once and printed under both keys.  Only when the families
+differ is the interval listing grown, and the verdict is then the equality
+of the two listings.
 Exit codes: 0 success, 1 verification failure or route disagreement, 2 usage
 error (including an unwritable --output or stdout, buffered or not, both or
 neither of two exclusive options, and a rank above MAX_SCAN_N for
@@ -29,13 +30,12 @@ from functools import cache
 from typing import Optional
 
 from .fixed_points import (
-    fixed_points_by_reachability,
     fixed_points_by_translation,
     interval_family,
     reachability_family,
 )
 from .hessenberg import Hessenberg, hessenberg_roots, validate_hessenberg
-from .perms import Perm, validate_perm, with_prefix_sets
+from .perms import Perm, prefix_listing, validate_perm
 from .verify import MAX_N, lemma_names, run_suite
 from .weyl import WeylSubset, list_classes, make_weyl_subset, max_element
 
@@ -111,19 +111,19 @@ def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
         if len(w) != len(args.h):
             parser.error(f"--w has {len(w)} entries but h has {len(args.h)}")
 
-    if args.method == "chl":
-        return _sorted_json(fixed_points_by_reachability(w, args.h)) + "\n", 0
     if args.method == "interval":
         return _sorted_json(fixed_points_by_translation(w, args.h)) + "\n", 0
     family = reachability_family(w, args.h)
-    direct = with_prefix_sets(family)
-    chl = _sorted_json(direct)
+    listing = prefix_listing(family)  # in lexicographic order already
+    chl = json.dumps(listing)
+    if args.method == "chl":
+        return chl + "\n", 0
     # equal families grow equal sets, so only differing ones need the interval listing
     if family != interval_family(w, args.h):
         interval = fixed_points_by_translation(w, args.h)
-        if direct != interval:
+        if frozenset(listing) != interval:
             return f'{{"agree": false, "chl": {chl}, "interval": {_sorted_json(interval)}}}\n', 1
-    # the agreed listing is sorted and encoded once, and laid out as _json would
+    # the agreed listing is encoded once, and laid out as _json would
     return f'{{"agree": true, "chl": {chl}, "interval": {chl}}}\n', 0
 
 

@@ -3,17 +3,18 @@ Torus-fixed point sets of (opposite) Hessenberg Schubert varieties.
 
 Two independent routes are provided and must agree.  Each route writes its
 set as a family: for every k, the allowed k-sets of first values (bit v for
-value v), grown into permutations by perms.with_prefix_sets with no scan of
+value v), grown into permutations by perms.prefix_listing with no scan of
 all n! permutations.  The direct route reads its family off reachability
 data: u is a fixed point when its first k values form the w-image of a
-reachable k-set, for every k.  Those sets are cached per (S, k) in
-reach.reachable_sets and shared by the whole class of S.  The interval
-route produces a (possibly translated) Bruhat interval determined by the
-extremes of the Weyl-type class; its family is the sorted-prefix family of
-that interval, mapped through the translation.  Neither family is built
-from the other.  Since with_prefix_sets is a function of its family, equal
-families grow equal sets; the agreement of the two routes on every input
-is the central property the verification suite sweeps.
+reachable k-set, for every k.  Those sets are found for every k in one
+pass per Weyl-type subset S, reach.reachable_masks, whose cached masks the
+whole class of S shares.  The interval route produces a (possibly
+translated) Bruhat interval determined by the extremes of the Weyl-type
+class; its family is the sorted-prefix family of that interval, mapped
+through the translation.  Neither family is built from the other.  Since
+prefix_listing is a function of its family, equal families grow equal sets;
+the agreement of the two routes on every input is the central property the
+verification suite sweeps.
 """
 
 from __future__ import annotations
@@ -23,8 +24,17 @@ from typing import Optional
 
 from .hessenberg import Hessenberg, hessenberg_length, total_dimension
 from .orders import bruhat_family, bruhat_interval
-from .perms import Perm, compose, identity, inverse, length, longest_element, with_prefix_sets
-from .reach import reachable_sets
+from .perms import (
+    Perm,
+    compose,
+    identity,
+    inverse,
+    length,
+    longest_element,
+    mask_values,
+    with_prefix_sets,
+)
+from .reach import reachable_masks
 from .weyl import InvariantError, WeylSubset, max_element, min_element, weyl_subset_of
 
 
@@ -34,12 +44,11 @@ def reachability_family(w: Perm, h: Hessenberg) -> list[set[int]]:
     n = len(w)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    S = weyl_subset_of(w, h)
+    values = mask_values(n)
     bit = [0] + [1 << v for v in w]  # bit[t] stands for the value w(t)
     at = bit.__getitem__
-    return [
-        {sum(map(at, T)) for T in reachable_sets(S, k)} for k in range(1, n)
-    ] + [{sum(bit)}]
+    return [{sum(map(at, values[mask])) for mask in level}
+            for level in reachable_masks(weyl_subset_of(w, h))[1:]]
 
 
 @lru_cache(maxsize=4096)

@@ -4,7 +4,10 @@ Permutations of [n] = {1, ..., n} in one-line notation.
 A permutation w is the tuple (w(1), ..., w(n)) of values 1..n.  Roots of the
 type A root system are ordered pairs (i, j) with i != j, standing for
 t_i - t_j; a root is positive exactly when i < j.  All indices are 1-based.
-with_prefix_sets grows the permutations with given prefix sets, set by set.
+A set of values is often held as a bitmask, bit v for value v; mask_values
+lists the members of every such mask once per rank.  prefix_listing grows
+the permutations with given prefix sets, in lexicographic order, and
+with_prefix_sets is the same listing as a set.
 """
 
 from __future__ import annotations
@@ -134,19 +137,50 @@ def all_perms(n: int) -> tuple[Perm, ...]:
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
-def with_prefix_sets(allowed: Sequence[Iterable[int]]) -> frozenset[Perm]:
-    """The set of permutations u of [n], n = len(allowed), whose first k
-    values form a bitmask (bit v for value v) in allowed[k - 1].
-    The prefixes of a mask are those of the mask less one value v, extended by v.
+@lru_cache(maxsize=None)
+def mask_values(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry mask, for every mask of bits 0..n, is the increasing tuple of
+    the values v >= 1 whose bit v is set; bit 0 stands for no value.
 
-    >>> sorted(with_prefix_sets([{0b10, 0b100}, {0b110}]))
+    >>> mask_values(3)[0b1010]
+    (1, 3)
+    """
+    table: list[tuple[int, ...]] = [(), ()]
+    for v in range(1, n + 1):
+        table += [t + (v,) for t in table]
+    return tuple(table)
+
+
+def prefix_listing(allowed: Sequence[Iterable[int]]) -> list[Perm]:
+    """The permutations u of [n], n = len(allowed), whose first k values form
+    a bitmask (bit v for value v) in allowed[k - 1], in lexicographic order.
+
+    The listing is grown from the back: a suffix is kept when the values it
+    leaves out form an allowed prefix set, and the suffixes that such a set
+    leaves are listed by their first value, then by the suffixes that follow
+    it, so each list is in lexicographic order.  The suffixes that leave out
+    no value are the listing.
+
+    >>> prefix_listing([{0b10, 0b100}, {0b110}])
     [(1, 2), (2, 1)]
-    >>> sorted(with_prefix_sets([{0b10, 0b1000}, {0b110}, {0b1110}]))  # {3} extends to nothing
+    >>> prefix_listing([{0b10, 0b1000}, {0b110}, {0b1110}])  # {3} extends to nothing
     [(1, 2, 3)]
     """
     n = len(allowed)
-    groups: dict[int, list[Perm]] = {0: [()]}
-    for family in allowed:
-        groups = {mask: [u + (v,) for v in range(1, n + 1) if mask >> v & 1
-                         for u in groups.get(mask & ~(1 << v), ())] for mask in family}
-    return frozenset(u for prefixes in groups.values() for u in prefixes)
+    full = (1 << n + 1) - 2
+    values = mask_values(n)
+    suffixes = {full: [()]} if not allowed or full in allowed[-1] else {}
+    for k in range(n - 1, -1, -1):
+        suffixes = {mask: [(v,) + s for v in values[full & ~mask]
+                           for s in suffixes.get(mask | 1 << v, ())]
+                    for mask in (allowed[k - 1] if k else (0,))}
+    return suffixes.get(0, [])
+
+
+def with_prefix_sets(allowed: Sequence[Iterable[int]]) -> frozenset[Perm]:
+    """prefix_listing(allowed) as a set.
+
+    >>> sorted(with_prefix_sets([{0b10, 0b100}, {0b110}]))
+    [(1, 2), (2, 1)]
+    """
+    return frozenset(prefix_listing(allowed))

@@ -10,11 +10,14 @@ larger vertex can appear on such a path, so the relation is the transitive
 closure of the upward arcs, built once per subset on S.before and in its
 layout: bit u of entry v is set when u reaches v.
 
-A k-set is reachable from {1, ..., k} when its members can be paired with
-1, ..., k, each reachable from its partner.  These sets are found by a walk
-over bitmasks that swaps one member for a vertex it reaches.  They depend
-on the subset and k alone, so the walk runs once per (S, k) and every
-permutation of the class of S shares its result.
+A k-set T is reachable from {1, ..., k} when its members can be paired
+with 1, ..., k, each reachable from its partner.  By the pairing induction,
+T is reachable exactly when k reaches some t in T and T \\ {t} is reachable
+from {1, ..., k - 1}: drop k and its partner t from the pairing, or pair k
+with t.  So one pass over k = 1, ..., n finds every reachable set as a
+bitmask (bit v for vertex v), each level grown from the one before.  The
+sets depend on the subset alone, so the pass runs once per subset and
+every permutation of the class of S shares its result.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 
 from .hessenberg import Hessenberg
 from .orders import KTuple
-from .perms import Perm
+from .perms import Perm, mask_values
 from .weyl import WeylSubset, _ready, is_acyclic, weyl_subset_of
 
 
@@ -68,41 +71,40 @@ def largest_source(S: WeylSubset) -> int:
 
 
 @lru_cache(maxsize=None)
+def reachable_masks(S: WeylSubset) -> tuple[frozenset[int], ...]:
+    """Entry k, for k = 0, ..., n: the k-sets reachable from {1, ..., k} in
+    the orientation S, as bitmasks (bit v for vertex v).
+
+    Level k adds to each reachable (k - 1)-set a vertex t outside it that k
+    reaches: by the pairing induction these are exactly the reachable k-sets.
+    """
+    table = reachability_table(S)
+    level = frozenset({0})
+    levels = [level]
+    for k in range(1, S.n + 1):
+        reached = [1 << t for t in range(k, S.n + 1) if table[t] >> k & 1]
+        level = frozenset({mask | bit for mask in level for bit in reached if not mask & bit})
+        levels.append(level)
+    return tuple(levels)
+
+
+@lru_cache(maxsize=None)
 def reachable_sets(S: WeylSubset, k: int) -> tuple[KTuple, ...]:
     """The increasing k-tuples whose underlying set is reachable from
     {1, ..., k} in the orientation S, in lexicographic order.
 
-    A k-set T is reachable from B when some bijection pairs every b in B
-    with an a in T reachable from b.  The sets are found by a walk that
-    starts from {1, ..., k} and swaps one member b for a non-member a
-    reachable from b.  Every set it visits is reachable, since the member
-    of B paired with b also reaches a.  It visits them all: reachability
-    is transitive and only climbs, so a pairing has no cycles besides the
-    vertices paired with themselves and splits into chains
-    b1 -> b2 -> ... -> br -> a, where b1 is not in T, b2 ... br are in both
-    sets and a is not in B.  Swapping br for a, then b(r-1) for br, and so
-    on back to b1 for b2, moves each chain into place by steps of the walk.
+    A k-set T is reachable from {1, ..., k} when some bijection pairs every
+    b <= k with an a in T reachable from b.  T is reachable exactly when k
+    reaches some t in T and T \\ {t} is reachable from {1, ..., k - 1}: the
+    partner of k is such a t, and the rest of the pairing pairs T \\ {t} with
+    {1, ..., k - 1}; conversely such a pairing extends by k -> t.  The sets
+    are read off reachable_masks(S), which applies this once per level.
     """
     n = S.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k out of range: {k}")
-    table = reachability_table(S)
-    swaps = [
-        (1 << b, 1 << a) for b in range(1, n) for a in range(b + 1, n + 1) if table[a] >> b & 1
-    ]
-    start = (1 << k + 1) - 2
-    seen = {start}
-    todo = [start]
-    while todo:
-        mask = todo.pop()
-        for out, into in swaps:
-            step = mask ^ out ^ into
-            if mask & out and not mask & into and step not in seen:
-                seen.add(step)
-                todo.append(step)
-    return tuple(sorted(
-        tuple(v for v in range(1, n + 1) if mask >> v & 1) for mask in seen
-    ))
+    values = mask_values(n)
+    return tuple(sorted(values[mask] for mask in reachable_masks(S)[k]))
 
 
 def reachable_tuples(w: Perm, h: Hessenberg, k: int) -> tuple[KTuple, ...]:

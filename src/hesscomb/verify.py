@@ -83,7 +83,8 @@ MAX_N = 6
 # clearable when the module's names are rebound.
 UNIT_CACHES = (
     weyl_subset_of, enumerate_weyl_subsets, max_element, class_of,
-    reach.reachability_table, reach.reachable_sets, fixed_points_by_reachability,
+    reach.reachability_table, reach.reachable_masks, reach.reachable_sets,
+    fixed_points_by_reachability,
 )
 
 Failure = dict

@@ -226,6 +226,34 @@ class TestFixedPoints:
         assert json.loads(want[1])["agree"] is True
         assert listed == [((2, 3, 1, 4), (3, 4, 4, 4))]
 
+    def test_one_dropped_reachable_mask_fails_the_agreement(self, capsys, monkeypatch):
+        # a mutation of the per-class pass: at k = 1 it loses its largest mask;
+        # every reachable set lies on a full chain, so each listing loses members
+        import hesscomb.fixed_points
+        import hesscomb.reach
+        from hesscomb import verify
+
+        real = hesscomb.reach.reachable_masks
+
+        def dropped(S):
+            levels = list(real(S))
+            levels[1] = levels[1] - {max(levels[1])}
+            return tuple(levels)
+
+        for module in (hesscomb.fixed_points, hesscomb.reach):
+            monkeypatch.setattr(module, "reachable_masks", dropped)
+        for cache in verify.UNIT_CACHES:
+            cache.cache_clear()
+        code, out, _ = run_cli(
+            ["fixed-points", "--h", "3,4,4,4", "--w", "2,3,1,4", "--method", "both"], capsys)
+        assert code == 1
+        assert json.loads(out)["agree"] is False
+        for check in ("main-theorem", "cell-translation"):
+            code, out, err = run_cli(["verify", "--n", "4", "--paper-lemma", check], capsys)
+            assert code == 1
+            assert json.loads(out)["lemmas"][check]["failures"] > 0
+            assert check in err
+
 
 class TestGraph:
     def test_json_edges(self, capsys):

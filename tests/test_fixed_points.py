@@ -182,7 +182,11 @@ class TestFamilies:
         def forbidden(*args):
             raise AssertionError("the interval family used reachability")
 
-        monkeypatch.setattr(hesscomb.fixed_points, "reachable_sets", forbidden)
+        # every binding of the reach entry points, the per-class pass among them
+        for module in (hesscomb.fixed_points, hesscomb.reach):
+            for name in ("reachable_masks", "reachable_sets", "reachability_table"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
         rng = random.Random(15)
         for h in rng.sample(list(enumerate_hessenberg(7)), 20):
             w = tuple(rng.sample(range(1, 8), 7))

@@ -22,6 +22,7 @@ from hesscomb.perms import (
     length,
     longest_element,
     positive_roots,
+    prefix_listing,
     validate_perm,
     with_prefix_sets,
 )
@@ -189,6 +190,17 @@ def test_with_prefix_sets_matches_filter(allowed):
     expected = [u for u in itertools.permutations(range(1, n + 1))
                 if all(_mask(u[:k]) in allowed[k - 1] for k in range(1, n + 1))]
     assert with_prefix_sets(allowed) == set(expected)
+
+
+@seed(19)
+@given(prefix_families())
+def test_prefix_listing_is_the_set_in_lexicographic_order(allowed):
+    # the same families as above: dead ends, a missing level, and n = 1
+    listing = prefix_listing(allowed)
+    assert listing == sorted(with_prefix_sets(allowed))
+    n = len(allowed)
+    assert listing == [u for u in itertools.permutations(range(1, n + 1))
+                       if all(_mask(u[:k]) in allowed[k - 1] for k in range(1, n + 1))]
 
 
 def test_only_sweep_modules_bind_all_perms():

@@ -1,6 +1,7 @@
 """Reachability on oriented incomparability graphs and reachable k-tuples."""
 
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from hesscomb.perms import all_perms
 from hesscomb.reach import (
     is_reachable,
     largest_source,
+    reachable_masks,
     reachable_tuples,
     sources,
 )
@@ -129,6 +131,25 @@ class TestSetReachable:
                     for T in itertools.combinations(range(1, n + 1), k):
                         assert (T in got) == \
                             set_reachable_by_enumeration(range(1, k + 1), T, S)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_pass_agrees_with_pairing_oracle_on_a_sample(self, n):
+        # ranks 2-5 are exhaustive above; here 40 seeded classes per rank,
+        # every k-set at every k against the pairings of the oracle
+        rng = random.Random(19 + n)
+        hs = list(enumerate_hessenberg(n))
+        for _ in range(40):
+            h = rng.choice(hs)
+            S = rng.choice(enumerate_weyl_subsets(h))
+            levels = reachable_masks(S)
+            assert levels[0] == {0}
+            assert levels[n] == {(2 << n) - 2}
+            for k in range(1, n):
+                got = {T for T in itertools.combinations(range(1, n + 1), k)
+                       if sum(1 << v for v in T) in levels[k]}
+                assert len(got) == len(levels[k])
+                for T in itertools.combinations(range(1, n + 1), k):
+                    assert (T in got) == set_reachable_by_enumeration(range(1, k + 1), T, S)
 
 
 class TestReachableTuples:

@@ -15,7 +15,7 @@ from hesscomb.fixed_points import fixed_points_by_reachability
 from hesscomb.oracles import _cover_closure
 from hesscomb.orders import bruhat_interval, bruhat_leq
 from hesscomb.perms import all_perms
-from hesscomb.reach import reachable_sets
+from hesscomb.reach import reachable_masks, reachable_sets
 from hesscomb.verify import GLOBAL_CHECKS, MAX_N, PER_H_CHECKS, lemma_names, run_suite
 
 
@@ -55,10 +55,13 @@ class _CountedClear:
 def test_full_suite_passes_at_rank_five(capsys, monkeypatch):
     # the CLI prints discrepancy records to stderr, so an empty stderr means none
     fixed_points_by_reachability.cache_clear()
+    reachable_masks.cache_clear()
     reachable_sets.cache_clear()
     fixed_points = _CountedClear(fixed_points_by_reachability)
+    passes = _CountedClear(reachable_masks)
     walks = _CountedClear(reachable_sets)
-    counted = {fixed_points_by_reachability: fixed_points, reachable_sets: walks}
+    counted = {fixed_points_by_reachability: fixed_points, reachable_masks: passes,
+               reachable_sets: walks}
     monkeypatch.setattr(verify, "UNIT_CACHES",
                         tuple(counted.get(c, c) for c in verify.UNIT_CACHES))
     code = main(["verify", "--n", "5"])
@@ -69,9 +72,11 @@ def test_full_suite_passes_at_rank_five(capsys, monkeypatch):
     assert summary["hessenberg_count"] == 42
     assert err == ""
     assert out == GOLDEN_N5.read_text(encoding="utf-8")
-    # each fixed point set is built once: 42 h times 120 v, and the
-    # reachable sets once per class and k: 945 classes times k = 1..4
+    # each fixed point set is built once: 42 h times 120 v; the reachable
+    # sets are found in one pass per class, 945 of them, and listed as
+    # tuples once per class and k: 945 classes times k = 1..4
     assert fixed_points.total_misses() == 42 * 120
+    assert passes.total_misses() == 945
     assert walks.total_misses() == 945 * 4
 
 
@@ -84,6 +89,7 @@ KEPT_CACHES = {
     "orders.bruhat_interval": "(lo, hi) permutations: hits across h",
     "perms.all_perms": "n: the rank",
     "perms.inversion_set": "w: a permutation, whatever the h",
+    "perms.mask_values": "n: the rank",
 }
 
 
