@@ -9,12 +9,13 @@ Subcommands:
 
 All JSON output uses sorted keys and ends with a newline; identical inputs
 produce byte-identical output regardless of --jobs.  fixed-points lists each
-set in lexicographic order; the reachability listing is grown in that order.
+set in lexicographic order; the reachability listing is grown in that order,
+as its JSON text (perms.prefix_listing_json), for --method chl and both.
 With --method both it builds each route's family of allowed prefix sets and
 grows only the reachability listing: equal families grow equal sets, so that
-listing is encoded once and printed under both keys.  Only when the families
-differ is the interval listing grown, and the verdict is then the equality
-of the two listings.
+listing is grown as its JSON text once and printed under both keys.  Only
+when the families differ are both listings grown as permutations, and the
+verdict is then the equality of the two sets.
 Exit codes: 0 success, 1 verification failure or route disagreement, 2 usage
 error (including an unwritable --output or stdout, buffered or not, both or
 neither of two exclusive options, and a rank above MAX_SCAN_N for
@@ -35,7 +36,7 @@ from .fixed_points import (
     reachability_family,
 )
 from .hessenberg import Hessenberg, hessenberg_roots, validate_hessenberg
-from .perms import Perm, prefix_listing, validate_perm
+from .perms import Perm, prefix_listing, prefix_listing_json, validate_perm
 from .verify import MAX_N, lemma_names, run_suite
 from .weyl import WeylSubset, list_classes, make_weyl_subset, max_element
 
@@ -114,16 +115,15 @@ def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     if args.method == "interval":
         return _sorted_json(fixed_points_by_translation(w, args.h)) + "\n", 0
     family = reachability_family(w, args.h)
-    listing = prefix_listing(family)  # in lexicographic order already
-    chl = json.dumps(listing)
+    chl = prefix_listing_json(family)  # grown in lexicographic order
     if args.method == "chl":
         return chl + "\n", 0
     # equal families grow equal sets, so only differing ones need the interval listing
     if family != interval_family(w, args.h):
         interval = fixed_points_by_translation(w, args.h)
-        if frozenset(listing) != interval:
+        if frozenset(prefix_listing(family)) != interval:
             return f'{{"agree": false, "chl": {chl}, "interval": {_sorted_json(interval)}}}\n', 1
-    # the agreed listing is encoded once, and laid out as _json would
+    # the agreed listing is grown as text once, and laid out as _json would
     return f'{{"agree": true, "chl": {chl}, "interval": {chl}}}\n', 0
 
 

@@ -7,7 +7,11 @@ t_i - t_j; a root is positive exactly when i < j.  All indices are 1-based.
 A set of values is often held as a bitmask, bit v for value v; mask_values
 lists the members of every such mask once per rank.  prefix_listing grows
 the permutations with given prefix sets, in lexicographic order, and
-with_prefix_sets is the same listing as a set.
+with_prefix_sets is the same listing as a set.  prefix_listing_json grows
+that listing straight into its JSON text: one growth builds both kinds of
+row, from per-value atoms (1-tuples, or text pieces), and since it orders
+the rows by their values alone, the text rows come out in lexicographic
+order too.
 """
 
 from __future__ import annotations
@@ -151,30 +155,60 @@ def mask_values(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+def _grow(allowed: Sequence[Iterable[int]], first: Sequence, rest: Sequence, end) -> list:
+    """The rows of prefix_listing(allowed), each built from atoms: value v
+    enters as first[v] at the front of a row and as rest[v] anywhere else,
+    and end closes the row."""
+    n = len(allowed)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    full = (1 << n + 1) - 2
+    values = mask_values(n)
+    suffixes = {full: [end]} if full in allowed[-1] else {}
+    for k in range(n - 1, -1, -1):
+        atoms = rest if k else first
+        suffixes = {mask: [atoms[v] + s for v in values[full & ~mask]
+                           for s in suffixes.get(mask | 1 << v, ())]
+                    for mask in (allowed[k - 1] if k else (0,))}
+    return suffixes.get(0, [])
+
+
 def prefix_listing(allowed: Sequence[Iterable[int]]) -> list[Perm]:
-    """The permutations u of [n], n = len(allowed), whose first k values form
-    a bitmask (bit v for value v) in allowed[k - 1], in lexicographic order.
+    """The permutations u of [n], n = len(allowed) >= 1, whose first k values
+    form a bitmask (bit v for value v) in allowed[k - 1], in lexicographic
+    order; rank 0 (allowed empty) raises ValueError, as validate_perm does.
 
     The listing is grown from the back: a suffix is kept when the values it
     leaves out form an allowed prefix set, and the suffixes that such a set
     leaves are listed by their first value, then by the suffixes that follow
     it, so each list is in lexicographic order.  The suffixes that leave out
-    no value are the listing.
+    no value are the listing.  The same growth serves prefix_listing_json:
+    it only joins each value's atom to the suffixes in that order, and the
+    atoms here are the 1-tuples (v,), shared by every row.
 
     >>> prefix_listing([{0b10, 0b100}, {0b110}])
     [(1, 2), (2, 1)]
     >>> prefix_listing([{0b10, 0b1000}, {0b110}, {0b1110}])  # {3} extends to nothing
     [(1, 2, 3)]
     """
+    atoms = [(v,) for v in range(len(allowed) + 1)]
+    return _grow(allowed, atoms, atoms, ())
+
+
+def prefix_listing_json(allowed: Sequence[Iterable[int]]) -> str:
+    """json.dumps(prefix_listing(allowed)), grown as its text: the rows are
+    built from "[v", ", v" and "]" in the same lexicographic order.  Rank 0
+    raises ValueError, as prefix_listing does.
+
+    >>> prefix_listing_json([{0b10, 0b100}, {0b110}])
+    '[[1, 2], [2, 1]]'
+    >>> prefix_listing_json([set(), {0b110}])  # no first value is allowed
+    '[]'
+    """
     n = len(allowed)
-    full = (1 << n + 1) - 2
-    values = mask_values(n)
-    suffixes = {full: [()]} if not allowed or full in allowed[-1] else {}
-    for k in range(n - 1, -1, -1):
-        suffixes = {mask: [(v,) + s for v in values[full & ~mask]
-                           for s in suffixes.get(mask | 1 << v, ())]
-                    for mask in (allowed[k - 1] if k else (0,))}
-    return suffixes.get(0, [])
+    first = [f"[{v}" for v in range(n + 1)]
+    rest = [f", {v}" for v in range(n + 1)]
+    return "[" + ", ".join(_grow(allowed, first, rest, "]")) + "]"
 
 
 def with_prefix_sets(allowed: Sequence[Iterable[int]]) -> frozenset[Perm]:

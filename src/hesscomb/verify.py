@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
@@ -440,6 +439,9 @@ def run_suite(n: int, lemma: Optional[str] = None, jobs: int = 1):
         units += [(per_h, n, h) for h in hs]
     workers = min(jobs, os.cpu_count() or 1, len(units))
     if workers > 1:
+        # imported only here: it loads multiprocessing, which would slow every CLI start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             ran = list(pool.map(_run_unit, units))
     else:

@@ -504,6 +504,32 @@ def test_rank_eight_agreement_lists_once(capsys, monkeypatch, no_enumeration):
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGEST_RANK_8_BOTH
 
 
+# SHA-256 of `fixed-points --h 4,5,6,7,7,7,7 --w 3,1,4,7,5,2,6 --method chl` (816 members),
+# as printed when the listing was still grown as tuples and encoded by json.dumps.
+OUTPUT_DIGEST_RANK_7_CHL = "4dc2880903cfd7722fd13a7808bc261231c626af5e77e20a28231f4a19db2b53"
+
+
+def test_agreeing_path_grows_no_tuple_listing(capsys, monkeypatch):
+    # --method chl and an agreeing --method both print the listing grown as text
+    def forbidden(*args):
+        raise AssertionError("a tuple listing was grown")
+
+    monkeypatch.setattr("hesscomb.cli.prefix_listing", forbidden)
+    code, out, _ = run_cli(
+        ["fixed-points", "--h", ",".join(["8"] * 8), "--w", "1,2,3,4,5,6,7,8",
+         "--method", "both"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGEST_RANK_8_BOTH
+    code, out, _ = run_cli(
+        ["fixed-points", "--h", "4,5,6,7,7,7,7", "--w", "3,1,4,7,5,2,6", "--method", "chl"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGEST_RANK_7_CHL
+
+
 class TestOutputPlumbing:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "graph.json"

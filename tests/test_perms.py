@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import json
 import math
 import pkgutil
 
@@ -23,6 +24,7 @@ from hesscomb.perms import (
     longest_element,
     positive_roots,
     prefix_listing,
+    prefix_listing_json,
     validate_perm,
     with_prefix_sets,
 )
@@ -201,6 +203,24 @@ def test_prefix_listing_is_the_set_in_lexicographic_order(allowed):
     n = len(allowed)
     assert listing == [u for u in itertools.permutations(range(1, n + 1))
                        if all(_mask(u[:k]) in allowed[k - 1] for k in range(1, n + 1))]
+
+
+@seed(20)
+@given(prefix_families())
+def test_prefix_listing_json_is_the_encoded_listing(allowed):
+    # the same families: dead-end masks, and empty listings printed as "[]"
+    assert prefix_listing_json(allowed) == json.dumps(prefix_listing(allowed))
+
+
+def test_prefix_listing_json_pins():
+    assert prefix_listing_json([{0b10}]) == "[[1]]"
+    assert prefix_listing_json([{0b10}, set()]) == "[]"
+
+
+@pytest.mark.parametrize("grow", [prefix_listing, prefix_listing_json, with_prefix_sets])
+def test_prefix_listing_rejects_rank_zero(grow):
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        grow([])
 
 
 def test_only_sweep_modules_bind_all_perms():

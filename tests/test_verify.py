@@ -329,7 +329,7 @@ def test_workers_capped(monkeypatch, jobs, cpus, want):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr("hesscomb.verify.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.setattr("hesscomb.verify.os.cpu_count", lambda: cpus)
     summary, _ = run_suite(3, lemma="main-theorem", jobs=jobs)
     assert summary["ok"]
