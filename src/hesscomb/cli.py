@@ -8,14 +8,14 @@ Subcommands:
   verify         run the named property checks at a given rank
 
 All JSON output uses sorted keys and ends with a newline; identical inputs
-produce byte-identical output regardless of --jobs.  fixed-points lists each
-set in lexicographic order; the reachability listing is grown in that order,
-as its JSON text (perms.prefix_listing_json), for --method chl and both.
-With --method both it builds each route's family of allowed prefix sets and
-grows only the reachability listing: equal families grow equal sets, so that
-listing is grown as its JSON text once and printed under both keys.  Only
-when the families differ are both listings grown as permutations, and the
-verdict is then the equality of the two sets.
+produce byte-identical output regardless of --jobs.  fixed-points prints
+every listing as the JSON text grown from its route's family of allowed
+prefix sets (perms.prefix_listing_json), already in lexicographic order, so
+nothing is sorted.  With --method both, equal families grow equal listings:
+the reachability text is grown once and printed under both keys.  Only when
+the families differ is the interval text grown too, and the verdict is then
+the equality of the two texts, which are duplicate-free lexicographic
+listings of the two sets.
 Exit codes: 0 success, 1 verification failure or route disagreement, 2 usage
 error (including an unwritable --output or stdout, buffered or not, both or
 neither of two exclusive options, and a rank above MAX_SCAN_N for
@@ -30,13 +30,9 @@ import sys
 from functools import cache
 from typing import Optional
 
-from .fixed_points import (
-    fixed_points_by_translation,
-    interval_family,
-    reachability_family,
-)
+from .fixed_points import interval_family, reachability_family
 from .hessenberg import Hessenberg, hessenberg_roots, validate_hessenberg
-from .perms import Perm, prefix_listing, prefix_listing_json, validate_perm
+from .perms import Perm, prefix_listing_json, validate_perm
 from .verify import MAX_N, lemma_names, run_suite
 from .weyl import WeylSubset, list_classes, make_weyl_subset, max_element
 
@@ -85,11 +81,6 @@ def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _sorted_json(perms) -> str:
-    """A permutation set as its JSON array, in lexicographic order."""
-    return json.dumps(sorted(perms))
-
-
 def _cmd_weyl_subsets(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     _cap_scan_rank(args.h, parser)
     records = [
@@ -113,16 +104,18 @@ def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
             parser.error(f"--w has {len(w)} entries but h has {len(args.h)}")
 
     if args.method == "interval":
-        return _sorted_json(fixed_points_by_translation(w, args.h)) + "\n", 0
+        return prefix_listing_json(interval_family(w, args.h)) + "\n", 0
     family = reachability_family(w, args.h)
-    chl = prefix_listing_json(family)  # grown in lexicographic order
+    chl = prefix_listing_json(family)
     if args.method == "chl":
         return chl + "\n", 0
-    # equal families grow equal sets, so only differing ones need the interval listing
-    if family != interval_family(w, args.h):
-        interval = fixed_points_by_translation(w, args.h)
-        if frozenset(prefix_listing(family)) != interval:
-            return f'{{"agree": false, "chl": {chl}, "interval": {_sorted_json(interval)}}}\n', 1
+    # equal families grow equal listings, so only differing ones need the interval text;
+    # both texts list their sets without repeats in one order, so equal text is equal sets
+    interval = interval_family(w, args.h)
+    if family != interval:
+        text = prefix_listing_json(interval)
+        if text != chl:
+            return f'{{"agree": false, "chl": {chl}, "interval": {text}}}\n', 1
     # the agreed listing is grown as text once, and laid out as _json would
     return f'{{"agree": true, "chl": {chl}, "interval": {chl}}}\n', 0
 

@@ -32,7 +32,7 @@ from .perms import (
     length,
     longest_element,
     mask_values,
-    with_prefix_sets,
+    prefix_listing,
 )
 from .reach import reachable_masks
 from .weyl import InvariantError, WeylSubset, max_element, min_element, weyl_subset_of
@@ -58,7 +58,7 @@ def fixed_points_by_reachability(w: Perm, h: Hessenberg) -> frozenset[Perm]:
     A permutation u belongs exactly when, for every k < n, the set of its
     first k values is the w-image of a reachable k-set.
     """
-    return with_prefix_sets(reachability_family(w, h))
+    return frozenset(prefix_listing(reachability_family(w, h)))
 
 
 def fixed_points_by_interval(S: WeylSubset) -> frozenset[Perm]:
@@ -94,7 +94,8 @@ def interval_family(v: Perm, h: Hessenberg) -> list[set[int]]:
 def fixed_points_by_translation(v: Perm, h: Hessenberg) -> frozenset[Perm]:
     """Fixed points for an arbitrary class member v, by translation: u
     applied to the Bruhat interval [m, w0], with m the maximum of the class
-    of v and u = v m^{-1}."""
+    of v and u = v m^{-1}.  It is the direct witness of the cell-translation
+    check; no command prints through it."""
     u, m, top = _translation(v, h)
     at = ((0,) + u).__getitem__  # u on 1-based values
     return frozenset(tuple(map(at, x)) for x in bruhat_interval(m, top))

@@ -5,7 +5,7 @@ Bruhat order is decided by the sorted-prefix (tableau) criterion: w <= v
 exactly when, for every k, the sorted first k values of w are componentwise
 at most those of v.  bruhat_family writes the same criterion as one family
 of allowed prefix sets per k, and bruhat_interval grows its members from
-that family through perms.with_prefix_sets, with no scan of all n!
+that family through perms.prefix_listing, with no scan of all n!
 permutations.  Weak left order is inversion-set containment.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from .perms import Perm, inversion_set, with_prefix_sets
+from .perms import Perm, inversion_set, prefix_listing
 
 KTuple = tuple[int, ...]
 
@@ -86,4 +86,4 @@ def bruhat_family(lo: Perm, hi: Perm, shift: Optional[Perm] = None) -> list[set[
 @lru_cache(maxsize=None)
 def bruhat_interval(lo: Perm, hi: Perm) -> frozenset[Perm]:
     """All v with lo <= v <= hi in Bruhat order; empty when lo is not below hi."""
-    return with_prefix_sets(bruhat_family(lo, hi))
+    return frozenset(prefix_listing(bruhat_family(lo, hi)))

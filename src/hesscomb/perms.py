@@ -7,11 +7,10 @@ t_i - t_j; a root is positive exactly when i < j.  All indices are 1-based.
 A set of values is often held as a bitmask, bit v for value v; mask_values
 lists the members of every such mask once per rank.  prefix_listing grows
 the permutations with given prefix sets, in lexicographic order, and
-with_prefix_sets is the same listing as a set.  prefix_listing_json grows
-that listing straight into its JSON text: one growth builds both kinds of
-row, from per-value atoms (1-tuples, or text pieces), and since it orders
-the rows by their values alone, the text rows come out in lexicographic
-order too.
+prefix_listing_json grows that listing straight into its JSON text: one
+growth builds both kinds of row, from per-value atoms (1-tuples, or text
+pieces), and since it orders the rows by their values alone, the text rows
+come out in lexicographic order too.
 """
 
 from __future__ import annotations
@@ -210,11 +209,3 @@ def prefix_listing_json(allowed: Sequence[Iterable[int]]) -> str:
     rest = [f", {v}" for v in range(n + 1)]
     return "[" + ", ".join(_grow(allowed, first, rest, "]")) + "]"
 
-
-def with_prefix_sets(allowed: Sequence[Iterable[int]]) -> frozenset[Perm]:
-    """prefix_listing(allowed) as a set.
-
-    >>> sorted(with_prefix_sets([{0b10, 0b100}, {0b110}]))
-    [(1, 2), (2, 1)]
-    """
-    return frozenset(prefix_listing(allowed))

@@ -42,13 +42,7 @@ from .hessenberg import (
     hessenberg_roots,
     validate_hessenberg,
 )
-from .perms import (
-    Perm,
-    Root,
-    inverse,
-    inversion_set,
-    with_prefix_sets,
-)
+from .perms import Perm, Root, inverse, inversion_set, prefix_listing
 
 
 class InvariantError(RuntimeError):
@@ -394,7 +388,7 @@ def list_classes(h: Hessenberg) -> list[tuple[tuple[Root, ...], int, Perm, Perm]
 def class_of(S: WeylSubset) -> frozenset[Perm]:
     """All w with N(w) & (selected roots) = S, the weak-order interval from
     min_element(S) to max_element(S), grown on the order ideals of S."""
-    return frozenset(map(inverse, with_prefix_sets(_ideal_counts(S.before, S.after)[1:])))
+    return frozenset(map(inverse, prefix_listing(_ideal_counts(S.before, S.after)[1:])))
 
 
 def induced_subset(S: WeylSubset, k: int) -> WeylSubset:

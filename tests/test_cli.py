@@ -18,9 +18,10 @@ from hesscomb.fixed_points import (
     fixed_points_by_reachability,
     fixed_points_by_translation,
     interval_family,
+    reachability_family,
 )
 from hesscomb.hessenberg import enumerate_hessenberg
-from hesscomb.perms import with_prefix_sets
+from hesscomb.perms import prefix_listing, prefix_listing_json
 from hesscomb.weyl import enumerate_weyl_subsets
 
 RANK_NINE = ",".join(["9"] * 9)
@@ -179,13 +180,9 @@ class TestFixedPoints:
         assert code == 2
 
     def test_disagreement_exits_one(self, capsys, monkeypatch):
-        # force the interval route wrong to confirm the agreement gate
-        monkeypatch.setattr(
-            "hesscomb.cli.fixed_points_by_translation",
-            lambda w, h: frozenset({tuple(range(1, len(w) + 1))}),
-        )
-        # and its family with it (the prefixes {1, ..., k} of the identity),
-        # so that the families differ and the listings decide
+        # force the interval route wrong to confirm the agreement gate: its
+        # family becomes the prefixes {1, ..., k} of the identity, so that the
+        # families differ and the listings decide
         monkeypatch.setattr(
             "hesscomb.cli.interval_family",
             lambda w, h: [{(2 << k) - 2} for k in range(1, len(w) + 1)],
@@ -196,7 +193,7 @@ class TestFixedPoints:
         )
         assert code == 1
         assert json.loads(out)["agree"] is False
-        # each side is sorted and encoded on its own
+        # each side is grown from its own family and printed as its own text
         payload = {
             "agree": False,
             "chl": sorted_lists(fixed_points_by_reachability((2, 3, 1, 4), (3, 4, 4, 4))),
@@ -212,19 +209,20 @@ class TestFixedPoints:
         family = interval_family((2, 3, 1, 4), (3, 4, 4, 4))
         patched = [family[0] | {0b10}, *family[1:]]
         assert patched != family
-        assert with_prefix_sets(patched) == with_prefix_sets(family)
+        assert frozenset(prefix_listing(patched)) == frozenset(prefix_listing(family))
         monkeypatch.setattr("hesscomb.cli.interval_family", lambda w, h: patched)
         listed = []
 
-        def counted(w, h):
-            listed.append((w, h))
-            return fixed_points_by_translation(w, h)
+        def counted(allowed):
+            listed.append(allowed)
+            return prefix_listing_json(allowed)
 
-        monkeypatch.setattr("hesscomb.cli.fixed_points_by_translation", counted)
+        monkeypatch.setattr("hesscomb.cli.prefix_listing_json", counted)
         assert run_cli(argv, capsys) == want
         assert want[0] == 0
         assert json.loads(want[1])["agree"] is True
-        assert listed == [((2, 3, 1, 4), (3, 4, 4, 4))]
+        # the reachability listing, then the interval listing, each grown once
+        assert listed == [reachability_family((2, 3, 1, 4), (3, 4, 4, 4)), patched]
 
     def test_one_dropped_reachable_mask_fails_the_agreement(self, capsys, monkeypatch):
         # a mutation of the per-class pass: at k = 1 it loses its largest mask;
@@ -481,20 +479,47 @@ def test_fixed_points_digest_ranks_one_to_five(capsys):
     assert digest.hexdigest() == OUTPUT_DIGEST_FIXED_POINTS
 
 
+def test_interval_listing_is_the_sorted_translation_set_at_rank_five(capsys):
+    # the digest above covers --method interval through rank 4; here every rank-5
+    # (h, w) prints the direct witness's set, sorted and encoded
+    for h in enumerate_hessenberg(5):
+        hs = ",".join(map(str, h))
+        for w in itertools.permutations(range(1, 6)):
+            code, out, _ = run_cli(
+                ["fixed-points", "--h", hs, "--w", ",".join(map(str, w)), "--method", "interval"],
+                capsys,
+            )
+            assert code == 0
+            assert out == json.dumps(sorted(fixed_points_by_translation(w, h))) + "\n"
+
+
 # SHA-256 of `fixed-points --h 8,8,8,8,8,8,8,8 --w 1,2,3,4,5,6,7,8 --method both`:
 # all 40,320 permutations, listed under both keys.
 OUTPUT_DIGEST_RANK_8_BOTH = "083e292e7dd3d4f8c308781a69f390a76e5ba2fc786c3bba7d44e6f2a0ae7cdc"
 
 
+def _forbid_in_package(monkeypatch, names, message):
+    """Make every loaded hesscomb module's binding of each name fail the test."""
+    def forbidden(*args):
+        raise AssertionError(message)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hesscomb":
+            for attr in names:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+
+
 def test_rank_eight_agreement_lists_once(capsys, monkeypatch, no_enumeration):
     # equal families decide the agreement: the interval listing is never grown
-    def forbidden(*args):
-        raise AssertionError("the interval listing was grown")
+    _forbid_in_package(monkeypatch, ["bruhat_interval"], "the interval listing was grown")
+    listed = []
 
-    monkeypatch.setattr("hesscomb.cli.fixed_points_by_translation", forbidden)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hesscomb" and hasattr(module, "bruhat_interval"):
-            monkeypatch.setattr(module, "bruhat_interval", forbidden)
+    def counted(allowed):
+        listed.append(allowed)
+        return prefix_listing_json(allowed)
+
+    monkeypatch.setattr("hesscomb.cli.prefix_listing_json", counted)
     code, out, _ = run_cli(
         ["fixed-points", "--h", ",".join(["8"] * 8), "--w", "1,2,3,4,5,6,7,8",
          "--method", "both"],
@@ -502,6 +527,25 @@ def test_rank_eight_agreement_lists_once(capsys, monkeypatch, no_enumeration):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGEST_RANK_8_BOTH
+    assert len(listed) == 1
+
+
+# SHA-256 of `fixed-points --h 8,8,8,8,8,8,8,8 --w 1,2,3,4,5,6,7,8 --method interval`:
+# all 40,320 permutations, as printed when the interval set was sorted and encoded.
+OUTPUT_DIGEST_RANK_8_INTERVAL = "70add85ebe7dc9368e8e809379973516ebcc1b69cce164b78604570c59f7b269"
+
+
+def test_rank_eight_interval_listing_grows_from_its_family(capsys, monkeypatch, no_enumeration):
+    # the interval route prints its family's text, through no interval set
+    _forbid_in_package(monkeypatch, ["bruhat_interval", "fixed_points_by_translation"],
+                       "the interval set was built")
+    code, out, _ = run_cli(
+        ["fixed-points", "--h", ",".join(["8"] * 8), "--w", "1,2,3,4,5,6,7,8",
+         "--method", "interval"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGEST_RANK_8_INTERVAL
 
 
 # SHA-256 of `fixed-points --h 4,5,6,7,7,7,7 --w 3,1,4,7,5,2,6 --method chl` (816 members),
@@ -511,10 +555,7 @@ OUTPUT_DIGEST_RANK_7_CHL = "4dc2880903cfd7722fd13a7808bc261231c626af5e77e20a2823
 
 def test_agreeing_path_grows_no_tuple_listing(capsys, monkeypatch):
     # --method chl and an agreeing --method both print the listing grown as text
-    def forbidden(*args):
-        raise AssertionError("a tuple listing was grown")
-
-    monkeypatch.setattr("hesscomb.cli.prefix_listing", forbidden)
+    _forbid_in_package(monkeypatch, ["prefix_listing"], "a tuple listing was grown")
     code, out, _ = run_cli(
         ["fixed-points", "--h", ",".join(["8"] * 8), "--w", "1,2,3,4,5,6,7,8",
          "--method", "both"],

@@ -26,7 +26,6 @@ from hesscomb.perms import (
     prefix_listing,
     prefix_listing_json,
     validate_perm,
-    with_prefix_sets,
 )
 
 
@@ -187,11 +186,11 @@ def prefix_families(draw, max_n=6):
 
 @seed(6)
 @given(prefix_families())
-def test_with_prefix_sets_matches_filter(allowed):
+def test_prefix_listing_set_matches_filter(allowed):
     n = len(allowed)
     expected = [u for u in itertools.permutations(range(1, n + 1))
                 if all(_mask(u[:k]) in allowed[k - 1] for k in range(1, n + 1))]
-    assert with_prefix_sets(allowed) == set(expected)
+    assert frozenset(prefix_listing(allowed)) == set(expected)
 
 
 @seed(19)
@@ -199,7 +198,7 @@ def test_with_prefix_sets_matches_filter(allowed):
 def test_prefix_listing_is_the_set_in_lexicographic_order(allowed):
     # the same families as above: dead ends, a missing level, and n = 1
     listing = prefix_listing(allowed)
-    assert listing == sorted(with_prefix_sets(allowed))
+    assert listing == sorted(frozenset(listing))
     n = len(allowed)
     assert listing == [u for u in itertools.permutations(range(1, n + 1))
                        if all(_mask(u[:k]) in allowed[k - 1] for k in range(1, n + 1))]
@@ -217,7 +216,7 @@ def test_prefix_listing_json_pins():
     assert prefix_listing_json([{0b10}, set()]) == "[]"
 
 
-@pytest.mark.parametrize("grow", [prefix_listing, prefix_listing_json, with_prefix_sets])
+@pytest.mark.parametrize("grow", [prefix_listing, prefix_listing_json])
 def test_prefix_listing_rejects_rank_zero(grow):
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         grow([])
