@@ -77,6 +77,14 @@ def _parse_root_list(text: str) -> list[tuple[int, int]]:
     return roots
 
 
+def _weyl_subset(args, parser: argparse.ArgumentParser) -> Optional[WeylSubset]:
+    """args.S as a WeylSubset of args.h (None without --S); not of Weyl type is a usage error."""
+    try:
+        return None if args.S is None else make_weyl_subset(args.S, args.h)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
@@ -93,11 +101,7 @@ def _cmd_weyl_subsets(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
 def _cmd_fixed_points(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
     _cap_scan_rank(args.h, parser)
     if args.S is not None:
-        try:
-            S = make_weyl_subset(args.S, args.h)
-        except ValueError as exc:
-            parser.error(str(exc))
-        w = max_element(S)
+        w = max_element(_weyl_subset(args, parser))
     else:
         w = args.w
         if len(w) != len(args.h):
@@ -136,12 +140,7 @@ def _graph_dot(h: Hessenberg, S: Optional[WeylSubset]) -> str:
 
 
 def _cmd_graph(args, parser: argparse.ArgumentParser) -> tuple[str, int]:
-    S = None
-    if args.S is not None:
-        try:
-            S = make_weyl_subset(args.S, args.h)
-        except ValueError as exc:
-            parser.error(str(exc))
+    S = _weyl_subset(args, parser)
     if args.format == "dot":
         return _graph_dot(args.h, S), 0
     payload = {

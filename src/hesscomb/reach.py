@@ -27,7 +27,7 @@ from functools import lru_cache
 from .hessenberg import Hessenberg
 from .orders import KTuple
 from .perms import Perm, mask_values
-from .weyl import WeylSubset, _ready, is_acyclic, weyl_subset_of
+from .weyl import WeylSubset, is_acyclic, weyl_subset_of
 
 
 @lru_cache(maxsize=None)
@@ -61,8 +61,7 @@ def sources(S: WeylSubset) -> set[int]:
     included).  Rejects cyclic orientations, which need not have one."""
     if not is_acyclic(S):
         raise ValueError("orientation has a directed cycle")
-    ready = _ready(S.before)
-    return {v for v in range(1, S.n + 1) if ready >> v & 1}
+    return {v for v in range(1, S.n + 1) if not S.before[v]}
 
 
 def largest_source(S: WeylSubset) -> int:

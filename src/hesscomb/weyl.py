@@ -10,9 +10,10 @@ the incomparability graph are the roots in R, so S is its own orientation:
 the edge (j, i), j < i, points downward (i -> j) exactly when (j, i) lies
 in S, and that orientation is acyclic exactly when S has Weyl type.  The
 class is the set of labelings of its topological orders (the k-th vertex
-takes the value k, so the order is w^{-1}); peeling the largest source, the
-smallest, or each in turn gives its maximum, minimum or order ideals, which
-count and list it.  Peels and reach read S.before: bit u of entry v marks u -> v;
+takes the value k, so the order is w^{-1}); peeling the largest source, or
+each in turn, gives its maximum or order ideals, which count and list it; as
+R \\ S reverses every arc, its peel read backwards is the minimum of S (second
+lemma below).  Peels and reach read S.before: bit u of entry v marks u -> v;
 a peel keeps the ready vertices as a mask, and placing v tests only S.after[v].
 
 A listing of every class of h (list_classes) peels nothing, by two lemmas.
@@ -80,7 +81,8 @@ class WeylSubset:
 
     @cached_property
     def after(self) -> tuple[int, ...]:
-        """before transposed, built once per instance: bit v of entry u marks u -> v."""
+        """before transposed, built once per instance: bit v of entry u marks
+        u -> v, so the entries are the predecessor masks of R \\ S."""
         after = [0] * len(self.before)
         for v, into in enumerate(self.before):
             while into:
@@ -110,24 +112,24 @@ def _ready(before: Sequence[int], placed: int = 0, among: Optional[int] = None) 
     return ready
 
 
-def _peel(S: WeylSubset, smallest: bool = False) -> list[int]:
-    """Vertices in the order they are removed, each the largest (or smallest)
-    source of what is left; stops short of n when a directed cycle remains."""
+def _peel(before: Sequence[int], after: Sequence[int]) -> list[int]:
+    """Vertices in the order they are removed, each the largest source of
+    what is left (before and after as in WeylSubset; swapping them reverses
+    every arc); stops short of n when a directed cycle remains."""
     order: list[int] = []
     placed = 0
-    ready = _ready(S.before)
+    ready = _ready(before)
     while ready:
-        bit = ready & -ready if smallest else 1 << ready.bit_length() - 1
-        placed |= bit
-        order.append(bit.bit_length() - 1)
-        ready = ready ^ bit | _ready(S.before, placed, S.after[order[-1]])
+        order.append(ready.bit_length() - 1)
+        placed |= 1 << order[-1]
+        ready = ready & ~placed | _ready(before, placed, after[order[-1]])
     return order
 
 
 def is_acyclic(S: WeylSubset) -> bool:
     """True when the orientation of S has no directed cycle.  S may be any
     subset of the selected roots; the acyclic ones are those of Weyl type."""
-    return len(_peel(S)) == S.n
+    return len(_peel(S.before, S.after)) == S.n
 
 
 def _selected_masks(h: Hessenberg) -> list[int]:
@@ -272,7 +274,7 @@ def max_element(S: WeylSubset) -> Perm:
     source of what is left, takes the value k.  An acyclic orientation
     always has a source, so the peel completes.
     """
-    order = _peel(S)
+    order = _peel(S.before, S.after)
     if len(order) != S.n:
         raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
     return inverse(tuple(order))
@@ -303,10 +305,10 @@ def _check_minimum(
 
 
 def min_element(S: WeylSubset) -> Perm:
-    """The weak-order minimum of class_of(S): the labeling of the
-    topological order that always peels the smallest source of what is
-    left."""
-    order = _peel(S, smallest=True)
+    """The weak-order minimum of class_of(S), w0 max_element(R \\ S): R \\ S
+    reverses every arc of S, so the peel with S's masks swapped, read
+    backwards, is the inverse of that product."""
+    order = _peel(S.after, S.before)[::-1]
     if len(order) != S.n:
         raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
     z = inverse(tuple(order))

@@ -142,6 +142,23 @@ class TestFixedPoints:
         assert code == 0
         assert len(json.loads(out)) == 12
 
+    @pytest.mark.parametrize(
+        "S, diagnostic",
+        [
+            ("1,2,3", 'argument --S: bad root \'1,2,3\': expected "i,j"'),
+            ("a,b", "argument --S: bad root 'a,b': expected integers"),
+            ("1,2;2,3", "subset not closed under root addition: (1,2) + (2,3) = (1,3)"),
+        ],
+        ids=["three-entries", "not-integers", "not-weyl-type"],
+    )
+    def test_bad_subset_is_usage_error(self, capsys, S, diagnostic):
+        code, out, err = run_cli(["fixed-points", "--h", "3,4,4,4", "--S", S], capsys)
+        assert code == 2
+        assert out == ""
+        usage, _, message = err.partition("\nhesscomb fixed-points: error: ")
+        assert usage.startswith("usage: hesscomb fixed-points ")
+        assert message.startswith(diagnostic)
+
     def test_empty_subset(self, capsys):
         # for h = (3,4,4,4) the empty subset's class is the identity alone
         code, out, _ = run_cli(

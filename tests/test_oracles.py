@@ -62,6 +62,11 @@ class TestClassFilter:
             assert total == math.factorial(n)
             assert union == set(all_perms(n))
 
+    def test_cap(self):
+        # refused before any of the 8! permutations is made
+        with pytest.raises(ValueError, match="definition filter capped at n = 7, got 8"):
+            class_by_filter(WeylSubset(frozenset(), (8,) * 8))
+
 
 class TestPairingOracle:
     def test_equal_sets(self):
@@ -71,6 +76,11 @@ class TestPairingOracle:
     def test_empty_sets(self):
         S = WeylSubset(frozenset(), (3, 4, 4, 4))
         assert set_reachable_by_enumeration(set(), set(), S)
+
+    def test_cardinality_mismatch(self):
+        S = WeylSubset(frozenset(), (3, 4, 4, 4))
+        with pytest.raises(ValueError, match="cardinality mismatch: 2 vs 1"):
+            set_reachable_by_enumeration({1, 2}, {3}, S)
 
     def test_cap(self):
         h = tuple(range(1, 8))  # edgeless at rank 7

@@ -90,6 +90,10 @@ class TestWeakLeftLeq:
         assert inversion_set((3, 2, 1, 4)) == {(1, 2), (1, 3), (2, 3)}
         assert weak_left_leq((2, 3, 1, 4), (3, 2, 1, 4))
 
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch: 2 vs 3"):
+            weak_left_leq((1, 2), (1, 2, 3))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_implies_bruhat(self, n):
         for u in all_perms(n):

@@ -78,6 +78,10 @@ class TestSpecialElements:
         with pytest.raises(ValueError):
             longest_element(0)
 
+    def test_identity_rejects_bad_n(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            identity(0)
+
     def test_front_cycle(self):
         assert front_cycle(4, 3) == (2, 3, 1, 4)
         assert front_cycle(4, 1) == identity(4)

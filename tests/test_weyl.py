@@ -453,8 +453,8 @@ def test_listing_matches_the_per_class_operations(n):
 def test_listing_peels_nothing_and_leaves_max_element_cache_empty(capsys, monkeypatch):
     # every maximum is a grown order and every minimum is read off the
     # complement's, so a listing neither peels nor fills max_element's cache
-    def forbidden(S, smallest=False):
-        raise AssertionError(f"_peel({sorted(S.roots)}) was called")
+    def forbidden(before, after):
+        raise AssertionError(f"_peel({list(before)}, {list(after)}) was called")
 
     monkeypatch.setattr(weyl, "_peel", forbidden)
     max_element.cache_clear()
@@ -464,8 +464,9 @@ def test_listing_peels_nothing_and_leaves_max_element_cache_empty(capsys, monkey
 
 
 def test_class_invariants_survive_optimized_mode():
-    # a cyclic S has no class, and min_element checks what the peel gives
-    # it; every check must still raise when python -O strips asserts
+    # a cyclic S has no class, min_element checks what the peel gives it,
+    # and every subset built or grown is re-checked for Weyl type; every
+    # check must still raise when python -O strips asserts
     script = textwrap.dedent("""
         import json
         import sys
@@ -485,10 +486,17 @@ def test_class_invariants_survive_optimized_mode():
         for operation in (weyl.class_size, weyl.max_element, weyl.min_element):
             attempt(operation, cyclic)
         peel = weyl._peel
-        weyl._peel = lambda S, smallest=False: peel(S)  # the max peel
+        # min_element reverses what it is given, so it sees the max peel's order
+        weyl._peel = lambda before, after: peel(after, before)[::-1]
         attempt(weyl.min_element, WeylSubset(frozenset(), (1, 2, 3)))
-        weyl._peel = lambda S, smallest=False: list(range(1, S.n + 1))
+        weyl._peel = lambda before, after: list(range(len(before) - 1, 0, -1))
         attempt(weyl.min_element, WeylSubset(frozenset({(1, 2)}), (2, 2)))
+        # deleting vertex 4 leaves {(1, 3)} in h = (3, 3, 3), whose complement
+        # is not closed; a closure test that always fails reaches the others
+        attempt(lambda S: weyl.induced_subset(S, 4), WeylSubset(frozenset({(1, 3)}), (3, 3, 3, 4)))
+        weyl._closure_violation = lambda inside, selected, allowed: ((1, 2), (2, 3), "subset")
+        attempt(lambda h: weyl.weyl_subset_of((1, 2), h), (2, 2))
+        attempt(weyl.enumerate_weyl_subsets, (2, 2))
         # h = (1, 2) has one class, S_2 with maximum (2, 1); the identity
         # order is another topological order of it
         weyl._grow = lambda h: [((), (1, 2), (0, 0, 0))]
@@ -510,10 +518,13 @@ def test_class_invariants_survive_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     caught = json.loads(proc.stdout)
-    assert len(caught) == 8
+    assert len(caught) == 11
     assert all("directed cycle" in message for message in caught[:3])
     assert "minimality criterion" in caught[3]
     assert "does not have the roots of S" in caught[4]
-    assert "class maximum [1, 2] fails the maximality criterion" in caught[5]
-    assert "class minimum [2, 1] does not have the roots of S" in caught[6]
-    assert "the complement of [] for h = [2, 2] was not grown" in caught[7]
+    assert caught[5] == "S with vertex 4 deleted is not of Weyl type"
+    assert caught[6] == "N([1, 2]) & roots of h = [2, 2] is not of Weyl type"
+    assert caught[7] == "grown [(1, 2)] for h = [2, 2] is not of Weyl type"
+    assert "class maximum [1, 2] fails the maximality criterion" in caught[8]
+    assert "class minimum [2, 1] does not have the roots of S" in caught[9]
+    assert "the complement of [] for h = [2, 2] was not grown" in caught[10]
