@@ -16,6 +16,10 @@ the reachability text is grown once and printed under both keys.  Only when
 the families differ is the interval text grown too, and the verdict is then
 the equality of the two texts, which are duplicate-free lexicographic
 listings of the two sets.
+Plain fixed-points and weyl-subsets argv, the subcommand and then each option
+once by its exact name with an accepted value, is read straight into the
+Namespace argparse would build (_plain_args); every other argv, help and every
+usage error included, is parsed by argparse, which alone prints their text.
 Exit codes: 0 success, 1 verification failure or route disagreement, 2 usage
 error (including an unwritable --output or stdout, buffered or not, both or
 neither of two exclusive options, and a rank above MAX_SCAN_N for
@@ -48,18 +52,25 @@ def _cap_scan_rank(h: Hessenberg, parser: argparse.ArgumentParser) -> None:
                      f"whose work or output can reach n! permutations; got {len(h)}")
 
 
-def _parse_h(text: str) -> Hessenberg:
+def _parse_values(text: str, what: str, validate):
+    """validate's tuple of the comma-separated integers in text, or an
+    ArgumentTypeError naming what text should have been."""
     try:
-        return validate_hessenberg(int(part) for part in text.split(","))
+        values = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: expected comma-separated integers")
+    try:
+        return validate(values)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad Hessenberg function {text!r}: {exc}")
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: {exc}")
+
+
+def _parse_h(text: str) -> Hessenberg:
+    return _parse_values(text, "Hessenberg function", validate_hessenberg)
 
 
 def _parse_w(text: str) -> Perm:
-    try:
-        return validate_perm(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad permutation {text!r}: {exc}")
+    return _parse_values(text, "permutation", validate_perm)
 
 
 def _parse_root_list(text: str) -> list[tuple[int, int]]:
@@ -237,6 +248,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace build_parser().parse_args(argv) returns, read directly off
+    a plain fixed-points or weyl-subsets argv; None for any other argv.
+
+    Plain means the subcommand, then option/value pairs: each option the exact
+    name of one of the subcommand's store options, given once, each value
+    not starting with "-" and accepted by its option's type and choices, with
+    the required options and the exclusive groups satisfied.  Abbreviations,
+    "--opt=value", repeats, conflicts, -h, "--" and unknown or rejected tokens
+    get None, so that argparse parses them and prints its help or its error.
+    """
+    if len(argv) % 2 == 0 or argv[0] not in ("fixed-points", "weyl-subsets"):
+        return None
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    sub = commands.choices[argv[0]]
+    given = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        action = sub._option_string_actions.get(option)
+        if (not isinstance(action, argparse._StoreAction) or action in given
+                or text.startswith("-")):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if any(action.required and action not in given for action in sub._actions):
+        return None
+    for group in sub._mutually_exclusive_groups:
+        count = sum(action in given for action in group._group_actions)
+        if count > 1 or (group.required and not count):
+            return None
+    args = argparse.Namespace(**sub._defaults)
+    setattr(args, commands.dest, argv[0])
+    for action in sub._actions:
+        if action.default is not argparse.SUPPRESS:  # the help action sets nothing
+            setattr(args, action.dest, given.get(action, action.default))
+    return args
+
+
 def _write_stdout(text: str) -> None:
     """Write all of text to stdout, or raise OSError.
 
@@ -258,7 +312,11 @@ def _write_stdout(text: str) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     text, code = args.run(args, args.parser)
     if args.output is None:
         try:

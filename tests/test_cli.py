@@ -1,5 +1,7 @@
 """Command line interface: output formats, exit codes, determinism."""
 
+import argparse
+import contextlib
 import errno
 import hashlib
 import io
@@ -11,6 +13,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from hesscomb import cli, weyl
 from hesscomb.cli import main
@@ -195,6 +199,34 @@ class TestFixedPoints:
             ["fixed-points", "--h", "3,4,4,4", "--w", "1,2,3"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "rest, diagnostic",
+        [
+            (["--h", "3,x,4,4", "--w", "1,2,3,4"], "argument --h: bad Hessenberg function "
+             "'3,x,4,4': expected comma-separated integers"),
+            (["--h", "3,4,4,4", "--w", "1,,2,3"], "argument --w: bad permutation "
+             "'1,,2,3': expected comma-separated integers"),
+            (["--h", "3,2,3", "--w", "1,2,3"], "argument --h: bad Hessenberg function "
+             "'3,2,3': not nondecreasing at position 1"),
+            (["--h", "1,1,3", "--w", "1,2,3"], "argument --h: bad Hessenberg function "
+             "'1,1,3': h(2) = 1 is below the diagonal"),
+            (["--h", "2,3,4", "--w", "1,2,3"], "argument --h: bad Hessenberg function "
+             "'2,3,4': h(3) = 4 exceeds n = 3"),
+            (["--h", "3,3,3", "--w", "1,1,2"], "argument --w: bad permutation "
+             "'1,1,2': not a permutation of 1..3"),
+            (["--h", "3,4,4,4", "--w", "1,2,3"], "--w has 3 entries but h has 4"),
+        ],
+        ids=["h-not-integers", "w-not-integers", "h-decreasing", "h-below-diagonal",
+             "h-above-n", "w-not-a-permutation", "w-wrong-length"],
+    )
+    def test_bad_h_or_w_is_usage_error(self, capsys, rest, diagnostic):
+        code, out, err = run_cli(["fixed-points", *rest], capsys)
+        assert code == 2
+        assert out == ""
+        usage, _, message = err.partition("\nhesscomb fixed-points: error: ")
+        assert usage.startswith("usage: hesscomb fixed-points ")
+        assert message.startswith(diagnostic)
 
     def test_disagreement_exits_one(self, capsys, monkeypatch):
         # force the interval route wrong to confirm the agreement gate: its
@@ -411,6 +443,124 @@ def test_late_usage_error_names_the_subcommand(argv, capsys, tmp_path):
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith(f"usage: hesscomb {argv[0]} ")
+
+
+PLAIN_OPTIONS = ("--h", "--w", "--S", "--method", "--output")
+# each option's values that its type and choices accept, then ones they reject
+PLAIN_VALUES = {
+    "--h": (("3,4,4,4", "4,5,6,7,7,7,7", "1", "2,2", RANK_NINE),
+            ("3,4,2,4", "3,x,4,4", "", "1,1,3")),
+    "--w": (("1,2,3,4", "3,1,4,7,5,2,6", "2,1", "1", "1,2,3"), ("1,1,2", "1,,2", "")),
+    "--S": (("", "1,2", "1,2;1,3", "1,2;2,3"), ("a,b", "1,2,3")),
+    "--method": (("both", "chl", "interval"), ("bogus", "bot", "")),
+    "--output": (("out.json", "", "both"), ()),
+}
+# values argparse takes as an option (-o, --, -h) or, when they look like a
+# negative number or are "-" alone, as a value
+DASHED_VALUES = ("-", "-1", "-o", "--", "-h")
+IRREGULAR_TOKENS = ("--meth", "--met", "--o", "--out", "--he", "-h", "--help", "--", "-1",
+                    "--x", "--n", "--format", "--h=3,4,4,4", "--w=1,2,3,4", "--w=1,1",
+                    "--S=", "--method=chl", "--meth=both", "--h=", "3,4,4,4")
+
+
+def _draw_pair(draw, option):
+    accepted, rejected = PLAIN_VALUES[option]
+    bad = draw(st.integers(min_value=0, max_value=5)) == 0
+    return [option, draw(st.sampled_from(rejected + DASHED_VALUES if bad else accepted))]
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand and, in any order, mostly the options it takes, each
+    dropped now and then and mostly with an accepted value; then, now and
+    then, one more option/value pair, or an abbreviated, "="-joined, help,
+    "--" or unknown token, put in anywhere."""
+    command = draw(st.sampled_from(("fixed-points", "fixed-points", "weyl-subsets",
+                                    "graph", "fixed", "")))
+    options = ["--h", "--output"]
+    if command != "weyl-subsets":
+        options += [*draw(st.sampled_from((("--w",), ("--S",), ("--w",), ("--S",),
+                                           ("--w", "--S")))), "--method"]
+    argv = [command]
+    for option in draw(st.permutations(options)):
+        if draw(st.integers(min_value=0, max_value=7)):
+            argv += _draw_pair(draw, option)
+    for _ in range(max(0, draw(st.integers(min_value=-4, max_value=2)))):
+        if draw(st.booleans()):
+            at = 1 + 2 * draw(st.integers(min_value=0, max_value=(len(argv) - 1) // 2))
+            argv[at:at] = _draw_pair(draw, draw(st.sampled_from(PLAIN_OPTIONS)))
+        else:
+            token = draw(st.sampled_from(IRREGULAR_TOKENS + PLAIN_OPTIONS))
+            argv.insert(draw(st.integers(min_value=1, max_value=len(argv))), token)
+    return argv
+
+
+def argparse_outcome(argv):
+    """vars() of argparse's Namespace for argv, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@seed(23)
+@settings(max_examples=1000)
+@given(cli_argvs())
+def test_plain_args_is_argparse_or_defers(argv):
+    # the plain path either builds argparse's Namespace or leaves argv to it;
+    # every argv argparse rejects, or answers with help, must be left to it
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert vars(args) == argparse_outcome(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["fixed-points", "--h", "3,4,4,4", "--w", "1,2,3,4", "--meth", "chl"],
+        ["fixed-points", "--h=3,4,4,4", "--w", "1,2,3,4"],
+        ["weyl-subsets", "--h", "3,4,4,4", "--h", "3,4,4,4"],
+        ["fixed-points", "--h", "3,4,4,4", "--w", "1,2,3,4", "--S", ""],
+        ["fixed-points", "--h", "3,4,4,4", "--w", "1,2,3,4", "-h", "x"],
+        ["weyl-subsets", "--h", "3,4,4,4", "--help", "x"],
+        ["fixed-points", "--h", "3,4,4,4", "--", "--w", "1,2,3,4"],
+        ["weyl-subsets", "--h", "3,4,4,4", "--output", "-1"],
+        ["weyl-subsets", "--h", "3,4,4,4", "--n", "5"],
+        ["graph", "--h", "3,4,4,4"],
+        ["weyl-subsets", "--h", "3,x,4,4"],
+        ["fixed-points", "--h", "3,4,4,4", "--w", "1,2,3,4", "--method", "bogus"],
+    ],
+    ids=["empty", "abbreviated", "joined", "repeated", "conflicting", "short-help", "help",
+         "double-dash", "dashed-value", "unknown", "other-command", "rejected-value",
+         "unknown-choice"],
+)
+def test_irregular_argv_is_left_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["fixed-points", "--h", "4,5,6,7,7,7,7", "--w", "3,1,4,7,5,2,6", "--method", "both"],
+         "add1da9a99185f34405741b80f2a004b37bab9f9b8f93f76cfec21ca1daee8b5"),
+        (["weyl-subsets", "--h", "3,4,4,4"],
+         "0ac81298a801a94055bae93daf9893ac81e2dfd36fac4f7f51367bc7b11e7f64"),
+    ],
+    ids=["fixed-points", "weyl-subsets"],
+)
+def test_plain_argv_is_not_parsed_by_argparse(argv, digest, capsys, monkeypatch):
+    # the digests are of the output when argparse parsed these argv
+    def forbidden(*args, **kwargs):
+        raise AssertionError("argparse parsed the argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", forbidden)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    with pytest.raises(AssertionError, match="argparse parsed"):
+        main([argv[0], f"{argv[1]}={argv[2]}", *argv[3:]])
 
 
 # SHA-256 of every output below.  The byte-exact output of these commands is
