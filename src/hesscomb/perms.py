@@ -127,8 +127,19 @@ def inversion_set(w: Perm) -> frozenset[Root]:
 
 
 def length(w: Perm) -> int:
-    """The number of inversions of w."""
-    return len(inversion_set(w))
+    """The number of inversions of w, counted on a mask of the values seen
+    so far: each value x is inverted with the larger values before it.  It
+    reads no inversion set, so the complement-involution check compares a
+    length and an inversion set computed independently.
+
+    >>> length((2, 3, 1, 4))
+    2
+    """
+    count = seen = 0
+    for x in w:
+        count += (seen >> x).bit_count()
+        seen |= 1 << x
+    return count
 
 
 @lru_cache(maxsize=None)

@@ -194,12 +194,14 @@ class TestFamilies:
 
     def test_reachability_family_never_reaches_the_interval(self, monkeypatch):
         import hesscomb.fixed_points
+        import hesscomb.orders
 
         def forbidden(*args):
             raise AssertionError("the reachability family used the interval route")
 
         for name in ("bruhat_family", "bruhat_interval", "max_element"):
             monkeypatch.setattr(hesscomb.fixed_points, name, forbidden)
+        monkeypatch.setattr(hesscomb.orders, "_gale_table", forbidden)
         rng = random.Random(15)
         for h in rng.sample(list(enumerate_hessenberg(7)), 20):
             w = tuple(rng.sample(range(1, 8), 7))

@@ -1,9 +1,14 @@
 """Bruhat order, weak left order, k-tuple order, and interval operations."""
 
+import itertools
+import random
+
 import pytest
 
 from hesscomb.oracles import bruhat_leq_by_covers, weak_interval
 from hesscomb.orders import (
+    _gale_table,
+    bruhat_family,
     bruhat_interval,
     bruhat_leq,
     ktuple_leq,
@@ -150,3 +155,55 @@ class TestIntervals:
         full = weak_interval(identity(3), longest_element(3))
         assert full == set(all_perms(3))
         assert weak_interval((2, 1, 3), (1, 3, 2)) == frozenset()
+
+
+def family_by_filter(lo, hi, shift):
+    # every k-set, kept when its sorted values lie between the sorted first
+    # k values of lo and of hi, then written through shift as a mask
+    n = len(lo)
+    return [
+        {sum(1 << shift[x - 1] for x in c)
+         for c in itertools.combinations(range(1, n + 1), k)
+         if all(a <= x <= b for a, x, b in zip(sorted(lo[:k]), c, sorted(hi[:k])))}
+        for k in range(1, n + 1)
+    ]
+
+
+class TestBruhatFamily:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_levels_match_the_filter(self, n):
+        perms = all_perms(n)
+        if n <= 4:
+            ends = [(lo, hi) for lo in perms for hi in perms]
+        else:
+            ends = [(m, longest_element(n)) for m in perms] + [(identity(n), m) for m in perms]
+        rng = random.Random(n)
+        for lo, hi in ends:
+            shift = rng.choice(perms)
+            assert bruhat_family(lo, hi) == family_by_filter(lo, hi, identity(n))
+            assert bruhat_family(lo, hi, shift) == family_by_filter(lo, hi, shift)
+
+    def test_incomparable_prefixes_give_an_empty_level(self):
+        # {2} is not below {1}, while {1, 2} lies below {1, 3}
+        family = bruhat_family((2, 1, 3), (1, 3, 2))
+        assert family == [set(), {0b110, 0b1010}, {0b1110}]
+        # through the shift 1 -> 3, 2 -> 1, 3 -> 2
+        assert bruhat_family((2, 1, 3), (1, 3, 2), (3, 1, 2)) == [set(), {0b1010, 0b1100}, {0b1110}]
+
+    @pytest.mark.parametrize("args, message", [
+        (((1, 2), (2, 1), (1, 2, 3)), "size mismatch: 2 vs 3"),
+        (((1, 2, 3), (3, 2, 1), (1, 2)), "size mismatch: 3 vs 2"),
+        (((1, 1), (2, 1)), r"not a permutation of 1..2: \[1, 1\]"),
+        (((1, 2), (2, 3)), r"not a permutation of 1..2: \[2, 3\]"),
+        (((1, 2, 3), (3, 2, 1), (1, 1, 3)), r"not a permutation of 1..3: \[1, 1, 3\]"),
+    ])
+    def test_malformed_endpoints_are_rejected_before_any_table(self, args, message):
+        _gale_table.cache_clear()
+        with pytest.raises(ValueError, match=message):
+            bruhat_family(*args)
+        assert _gale_table.cache_info().currsize == 0
+
+    def test_interval_rejects_malformed_endpoints(self):
+        for lo, hi in (((1, 1), (2, 2)), ((1, 2), (0, 1))):
+            with pytest.raises(ValueError, match="not a permutation of 1..2"):
+                bruhat_interval(lo, hi)

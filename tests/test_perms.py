@@ -156,6 +156,14 @@ class TestEnumeration:
             all_perms(0)
 
 
+class TestLength:
+    def test_counts_the_inversion_set(self):
+        # length counts on a value mask and never reads the inversion set
+        for n in range(1, 7):
+            for w in all_perms(n):
+                assert length(w) == len(inversion_set(w))
+
+
 class TestComplementLaw:
     def test_longest_element_complements_inversions(self):
         for n in (1, 2, 3, 4):

@@ -3,7 +3,9 @@
 import functools
 import importlib
 import json
+import math
 import pkgutil
+import random
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,10 @@ import pytest
 import hesscomb
 from hesscomb import verify
 from hesscomb.cli import main
-from hesscomb.fixed_points import fixed_points_by_reachability
+from hesscomb.fixed_points import fixed_points_by_reachability, interval_family
+from hesscomb.hessenberg import enumerate_hessenberg
 from hesscomb.oracles import _cover_closure
-from hesscomb.orders import bruhat_interval, bruhat_leq
+from hesscomb.orders import _gale_table, bruhat_interval, bruhat_leq
 from hesscomb.perms import all_perms
 from hesscomb.reach import reachable_masks, reachable_sets
 from hesscomb.verify import GLOBAL_CHECKS, MAX_N, PER_H_CHECKS, lemma_names, run_suite
@@ -86,6 +89,7 @@ KEPT_CACHES = {
     "cli.build_parser": "no key: one parser per process",
     "hessenberg.hessenberg_roots": "h: one small frozenset per h, read by every class operation",
     "oracles._cover_closure": "n: the rank",
+    "orders._gale_table": "(low, high) prefix masks: at most C(2n, n) per rank",
     "orders.bruhat_interval": "(lo, hi) permutations: hits across h",
     "perms.all_perms": "n: the rank",
     "perms.inversion_set": "w: a permutation, whatever the h",
@@ -121,6 +125,25 @@ def test_unit_caches_end_with_their_unit():
         if name not in KEPT_CACHES:
             assert cache.cache_info().currsize == 0, name
     assert bruhat_interval.cache_info().currsize > 0
+
+
+def test_gale_tables_stay_within_their_bound():
+    # a rank-5 sweep reads at most one table per pair of k-sets, sum_k C(5, k)^2
+    bruhat_interval.cache_clear()
+    _gale_table.cache_clear()
+    summary, _ = run_suite(5)
+    assert summary["ok"]
+    assert 0 < _gale_table.cache_info().currsize <= math.comb(10, 5)
+
+
+def test_gale_tables_hit_on_rank_seven_queries():
+    _gale_table.cache_clear()
+    rng = random.Random(24)
+    hs = list(enumerate_hessenberg(7))
+    for _ in range(300):
+        interval_family(tuple(rng.sample(range(1, 8), 7)), rng.choice(hs))
+    info = _gale_table.cache_info()
+    assert info.hits > info.misses
 
 
 def test_unit_caches_end_when_a_check_raises(monkeypatch):
