@@ -10,11 +10,12 @@ reachable k-set, for every k.  Those sets are found for every k in one
 pass per Weyl-type subset S, reach.reachable_masks, whose cached masks the
 whole class of S shares.  The interval route produces a (possibly
 translated) Bruhat interval determined by the extremes of the Weyl-type
-class; its family is the sorted-prefix family of that interval, mapped
-through the translation.  Neither family is built from the other.  Since
-prefix_listing is a function of its family, equal families grow equal sets;
-the agreement of the two routes on every input is the central property the
-verification suite sweeps.
+class; its family is the sorted-prefix family of that interval.  Each
+route moves its base family through w or the translation by
+perms.image_family.  Neither base family is built from, or reads the
+module of, the other.  Since prefix_listing is a function of its family,
+equal families grow equal sets; the agreement of the two routes on every
+input is the central property the verification suite sweeps.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .perms import (
     Perm,
     compose,
     identity,
+    image_family,
     inverse,
     length,
     longest_element,
-    mask_values,
     prefix_listing,
 )
 from .reach import reachable_masks
@@ -41,14 +42,7 @@ from .weyl import InvariantError, WeylSubset, max_element, min_element, weyl_sub
 def reachability_family(w: Perm, h: Hessenberg) -> list[set[int]]:
     """The allowed prefix sets of the reachability route: for each k < n the
     w-images of the reachable k-sets, and for k = n the full set."""
-    n = len(w)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    values = mask_values(n)
-    bit = [0] + [1 << v for v in w]  # bit[t] stands for the value w(t)
-    at = bit.__getitem__
-    return [{sum(map(at, values[mask])) for mask in level}
-            for level in reachable_masks(weyl_subset_of(w, h))[1:]]
+    return image_family(reachable_masks(weyl_subset_of(w, h))[1:], w)
 
 
 @lru_cache(maxsize=4096)
@@ -88,7 +82,7 @@ def interval_family(v: Perm, h: Hessenberg) -> list[set[int]]:
     """The allowed prefix sets of the interval route: those of the translate
     u [m, w0]."""
     u, m, top = _translation(v, h)
-    return bruhat_family(m, top, u)
+    return image_family(bruhat_family(m, top), u)
 
 
 def fixed_points_by_translation(v: Perm, h: Hessenberg) -> frozenset[Perm]:

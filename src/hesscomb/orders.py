@@ -6,7 +6,8 @@ exactly when, for every k, the sorted first k values of w are componentwise
 at most those of v.  bruhat_family writes the same criterion as one family
 of allowed prefix sets per k, and bruhat_interval grows its members from
 that family through perms.prefix_listing, with no scan of all n!
-permutations.  Weak left order is inversion-set containment.
+permutations; a translate moves that family by perms.image_family.  Weak
+left order is inversion-set containment.
 
 Level k of the family of [lo, hi] is the Gale-order interval of k-sets
 between the prefix sets lo[:k] and hi[:k]; it depends on those two sets
@@ -20,7 +21,7 @@ keys: the tables stay within C(2n, n) for every rank up to n.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import AbstractSet, Optional
+from typing import AbstractSet
 
 from .perms import Perm, inversion_set, mask_values, prefix_listing
 
@@ -74,31 +75,29 @@ def _gale_table(low: int, high: int) -> frozenset[int]:
     """The k-sets (bit v for value v) whose sorted values lie componentwise
     between those of the k-sets low and high; empty when low is not below
     high.  The increasing k-tuples within the bounds are grown entry by
-    entry, each held as its mask and its last entry."""
-    def members(mask: int) -> list[int]:
-        return [v for v in range(mask.bit_length()) if mask >> v & 1]
-
+    entry, each held as its mask and its last entry; the bounds are listed
+    from a mask_values table wide enough for both masks."""
+    values = mask_values(max(low, high).bit_length() - 1)
     grown = [(0, 0)]
-    for a, b in zip(members(low), members(high)):
+    for a, b in zip(values[low], values[high]):
         grown = [(mask | 1 << x, x) for mask, last in grown
                  for x in range(max(a, last + 1), b + 1)]
     return frozenset(mask for mask, _ in grown)
 
 
-def bruhat_family(lo: Perm, hi: Perm, shift: Optional[Perm] = None) -> list[AbstractSet[int]]:
+def bruhat_family(lo: Perm, hi: Perm) -> list[AbstractSet[int]]:
     """The prefix sets of [lo, hi]: for each k, the k-sets (bit v for value v)
     whose sorted values lie componentwise between the sorted first k values
-    of lo and of hi.  With shift, those of the translate shift [lo, hi]: each
-    value x stands as shift(x).  Endpoints and shift must be permutations of
-    one rank, or ValueError is raised.
+    of lo and of hi; image_family(bruhat_family(lo, hi), w) is the family of
+    w [lo, hi].  The endpoints must be permutations of one rank, or
+    ValueError is raised before any table is read.
 
     >>> [sorted(level) for level in bruhat_family((2, 1, 3), (3, 1, 2))]
     [[4, 8], [6, 10], [14]]
     """
     n = len(lo)
-    for w in (hi,) if shift is None else (hi, shift):
-        if len(w) != n:
-            raise ValueError(f"size mismatch: {n} vs {len(w)}")
+    if len(hi) != n:
+        raise ValueError(f"size mismatch: {n} vs {len(hi)}")
     keys, low, high = [], 0, 0
     for x, y in zip(lo, hi):
         low |= 1 << x
@@ -109,14 +108,7 @@ def bruhat_family(lo: Perm, hi: Perm, shift: Optional[Perm] = None) -> list[Abst
     for w, mask in ((lo, low), (hi, high)):
         if mask != full:
             raise ValueError(f"not a permutation of 1..{n}: {list(w)}")
-    if shift is None:
-        return [_gale_table(*key) for key in keys]
-    bit = [0] + [1 << v for v in shift]  # bit[x] stands for the value shift(x)
-    if sum(bit) != full:  # n powers of two add up to full only when distinct
-        raise ValueError(f"not a permutation of 1..{n}: {list(shift)}")
-    values = mask_values(n)
-    at = bit.__getitem__
-    return [{sum(map(at, values[mask])) for mask in _gale_table(*key)} for key in keys]
+    return [_gale_table(*key) for key in keys]
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ A permutation w is the tuple (w(1), ..., w(n)) of values 1..n.  Roots of the
 type A root system are ordered pairs (i, j) with i != j, standing for
 t_i - t_j; a root is positive exactly when i < j.  All indices are 1-based.
 A set of values is often held as a bitmask, bit v for value v; mask_values
-lists the members of every such mask once per rank.  prefix_listing grows
+lists the members of every such mask once per rank, and image_family moves
+a family of prefix masks through a permutation.  prefix_listing grows
 the permutations with given prefix sets, in lexicographic order, and
 prefix_listing_json grows that listing straight into its JSON text: one
 growth builds both kinds of row, from per-value atoms (1-tuples, or text
@@ -163,6 +164,25 @@ def mask_values(n: int) -> tuple[tuple[int, ...], ...]:
     for v in range(1, n + 1):
         table += [t + (v,) for t in table]
     return tuple(table)
+
+
+def image_family(family: Sequence[Iterable[int]], w: Perm) -> list[set[int]]:
+    """The family moved through w: bit x of every mask becomes bit w(x), so
+    its prefix listing is w times each permutation the family lists.  w must
+    be a permutation of 1..len(family), or ValueError is raised first.
+
+    >>> image_family([{0b10}, {0b110}], (2, 1))  # the listing [(1, 2)] becomes [(2, 1)]
+    [{4}, {6}]
+    """
+    n = len(family)
+    if len(w) != n:
+        raise ValueError(f"size mismatch: {n} vs {len(w)}")
+    bit = [0] + [1 << v for v in w]  # bit[x] stands for the value w(x)
+    if sum(bit) != (1 << n + 1) - 2:  # n powers of two fill bits 1..n only when distinct
+        raise ValueError(f"not a permutation of 1..{n}: {list(w)}")
+    values = mask_values(n)
+    at = bit.__getitem__
+    return [{sum(map(at, values[mask])) for mask in level} for level in family]
 
 
 def _grow(allowed: Sequence[Iterable[int]], first: Sequence, rest: Sequence, end) -> list:

@@ -43,7 +43,7 @@ from .hessenberg import (
     hessenberg_roots,
     validate_hessenberg,
 )
-from .perms import Perm, Root, inverse, inversion_set, prefix_listing
+from .perms import Perm, Root, inverse, inversion_set, prefix_listing, validate_perm
 
 
 class InvariantError(RuntimeError):
@@ -82,13 +82,9 @@ class WeylSubset:
     @cached_property
     def after(self) -> tuple[int, ...]:
         """before transposed, built once per instance: bit v of entry u marks
-        u -> v, so the entries are the predecessor masks of R \\ S."""
-        after = [0] * len(self.before)
-        for v, into in enumerate(self.before):
-            while into:
-                after[(into & -into).bit_length() - 1] |= 1 << v
-                into &= into - 1
-        return tuple(after)
+        u -> v: the predecessor masks of R \\ S and, as every edge points one
+        way, each vertex's neighbours other than its predecessors."""
+        return tuple(map(xor, _neighbour_masks(self.h), self.before))
 
     def arcs(self) -> frozenset[tuple[int, int]]:
         """All directed pairs (tail, head)."""
@@ -130,6 +126,16 @@ def is_acyclic(S: WeylSubset) -> bool:
     """True when the orientation of S has no directed cycle.  S may be any
     subset of the selected roots; the acyclic ones are those of Weyl type."""
     return len(_peel(S.before, S.after)) == S.n
+
+
+def _neighbour_masks(h: Hessenberg) -> list[int]:
+    """The incomparability graph of h as masks: bit c of entry a marks the
+    edge between a and c (entry 0 is unused)."""
+    neighbours = [0] * (len(h) + 1)
+    for a, c in hessenberg_roots(h):
+        neighbours[a] |= 1 << c
+        neighbours[c] |= 1 << a
+    return neighbours
 
 
 def _selected_masks(h: Hessenberg) -> list[int]:
@@ -198,7 +204,8 @@ def make_weyl_subset(roots: Iterable[Root], h: Hessenberg) -> WeylSubset:
 
 @lru_cache(maxsize=None)
 def weyl_subset_of(w: Perm, h: Hessenberg) -> WeylSubset:
-    """The Weyl-type subset N(w) & (roots selected by h) attached to w."""
+    """The Weyl-type subset N(w) & (roots selected by h) of a permutation w."""
+    validate_perm(w)
     if len(w) != len(h):
         raise ValueError(f"size mismatch: {len(w)} vs {len(h)}")
     S = WeylSubset(roots=inversion_set(w) & hessenberg_roots(h), h=tuple(h))
@@ -359,10 +366,7 @@ def list_classes(h: Hessenberg) -> list[tuple[tuple[Root, ...], int, Perm, Perm]
     complementary pair.  Every extreme is checked, none is peeled."""
     grown = _grow(h)
     selected = _selected_masks(h)
-    neighbours = [0] * len(selected)
-    for a, c in hessenberg_roots(h):
-        neighbours[a] |= 1 << c
-        neighbours[c] |= 1 << a
+    neighbours = _neighbour_masks(h)
     pair = {inside: k for k, (_, _, inside) in enumerate(grown)}
     listing: list[tuple[tuple[Root, ...], int, Perm, Perm]] = []
     for k, (image, order, inside) in enumerate(grown):
@@ -377,7 +381,7 @@ def list_classes(h: Hessenberg) -> list[tuple[tuple[Root, ...], int, Perm, Perm]
             # S's arcs run from each vertex to its neighbours after it in order
             placed_before = _placed_before(order, len(selected))
             before = list(map(and_, neighbours, placed_before))
-            after = [into & ~placed for into, placed in zip(neighbours, placed_before)]
+            after = list(map(xor, neighbours, before))
             size = sum(_ideal_counts(before, after)[-1].values())
         mirrored = grown[j][1][::-1]  # the inverse of w0 max_element(R \ S)
         z = inverse(mirrored)

@@ -215,6 +215,15 @@ class TestFamilies:
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             route((), ())
 
+    @pytest.mark.parametrize("route", [
+        fixed_points_by_reachability, fixed_points_by_translation,
+        reachability_family, interval_family,
+    ])
+    @pytest.mark.parametrize("w, h", [((2, 3), (2, 2)), ((1, 1, 2), (3, 3, 3))])
+    def test_non_permutations_are_rejected(self, route, w, h):
+        with pytest.raises(ValueError, match="not a permutation"):
+            route(w, h)
+
 
 class TestSchubertRoute:
     def test_empty_subset_at_full_function(self):

@@ -19,8 +19,10 @@ from hesscomb.perms import (
     all_perms,
     compose,
     identity,
+    image_family,
     inversion_set,
     longest_element,
+    prefix_listing,
 )
 
 
@@ -181,21 +183,21 @@ class TestBruhatFamily:
         for lo, hi in ends:
             shift = rng.choice(perms)
             assert bruhat_family(lo, hi) == family_by_filter(lo, hi, identity(n))
-            assert bruhat_family(lo, hi, shift) == family_by_filter(lo, hi, shift)
+            assert image_family(bruhat_family(lo, hi), shift) == family_by_filter(lo, hi, shift)
 
     def test_incomparable_prefixes_give_an_empty_level(self):
         # {2} is not below {1}, while {1, 2} lies below {1, 3}
         family = bruhat_family((2, 1, 3), (1, 3, 2))
         assert family == [set(), {0b110, 0b1010}, {0b1110}]
         # through the shift 1 -> 3, 2 -> 1, 3 -> 2
-        assert bruhat_family((2, 1, 3), (1, 3, 2), (3, 1, 2)) == [set(), {0b1010, 0b1100}, {0b1110}]
+        assert image_family(family, (3, 1, 2)) == [set(), {0b1010, 0b1100}, {0b1110}]
 
     @pytest.mark.parametrize("args, message", [
-        (((1, 2), (2, 1), (1, 2, 3)), "size mismatch: 2 vs 3"),
-        (((1, 2, 3), (3, 2, 1), (1, 2)), "size mismatch: 3 vs 2"),
+        (((1, 2), (2, 1, 3)), "size mismatch: 2 vs 3"),
+        (((1, 2, 3), (3, 2)), "size mismatch: 3 vs 2"),
         (((1, 1), (2, 1)), r"not a permutation of 1..2: \[1, 1\]"),
         (((1, 2), (2, 3)), r"not a permutation of 1..2: \[2, 3\]"),
-        (((1, 2, 3), (3, 2, 1), (1, 1, 3)), r"not a permutation of 1..3: \[1, 1, 3\]"),
+        (((1, 2, 3), (3, 3, 1)), r"not a permutation of 1..3: \[3, 3, 1\]"),
     ])
     def test_malformed_endpoints_are_rejected_before_any_table(self, args, message):
         _gale_table.cache_clear()
@@ -207,3 +209,36 @@ class TestBruhatFamily:
         for lo, hi in (((1, 1), (2, 2)), ((1, 2), (0, 1))):
             with pytest.raises(ValueError, match="not a permutation of 1..2"):
                 bruhat_interval(lo, hi)
+
+
+class Untouched:
+    """A family level that fails the test when it is read."""
+
+    def __iter__(self):
+        raise AssertionError("a level was read")
+
+
+class TestImageFamily:
+    @pytest.mark.parametrize("lo, hi, shift, message", [
+        ((1, 2), (2, 1), (1, 2, 3), "size mismatch: 2 vs 3"),
+        ((1, 2, 3), (3, 2, 1), (1, 2), "size mismatch: 3 vs 2"),
+        ((1, 2, 3), (3, 2, 1), (1, 1, 3), r"not a permutation of 1..3: \[1, 1, 3\]"),
+    ])
+    def test_malformed_permutations_are_rejected_before_any_level(self, lo, hi, shift, message):
+        with pytest.raises(ValueError, match=message):
+            image_family(bruhat_family(lo, hi), shift)
+        with pytest.raises(ValueError, match=message):
+            image_family([Untouched()] * len(lo), shift)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_identity_composition_and_listing(self, n):
+        perms = all_perms(n)
+        rng = random.Random(n)
+        for _ in range(10):
+            m, a, b = rng.choice(perms), rng.choice(perms), rng.choice(perms)
+            for family in (bruhat_family(identity(n), m), bruhat_family(m, longest_element(n))):
+                assert image_family(family, identity(n)) == family
+                assert image_family(image_family(family, a), b) == image_family(
+                    family, compose(b, a))
+                assert prefix_listing(image_family(family, a)) == sorted(
+                    compose(a, x) for x in prefix_listing(family))

@@ -178,6 +178,20 @@ class TestOrientation:
             sys.setprofile(None)
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_after_is_before_transposed(self, n):
+        # every subset of R at rank 3, acyclic or not, and each Weyl type one above
+        for h in enumerate_hessenberg(n):
+            roots = sorted(hessenberg_roots(h))
+            subsets = ([WeylSubset(frozenset(c), h) for k in range(len(roots) + 1)
+                        for c in itertools.combinations(roots, k)] if n <= 3
+                       else enumerate_weyl_subsets(h))
+            for S in subsets:
+                after = [0] * (n + 1)
+                for u, v in S.arcs():
+                    after[u] |= 1 << v
+                assert S.after == tuple(after)
+
     def test_cyclic_orientation_rejected(self):
         # 1 -> 2 -> 3 -> 1 on the triangle
         cyclic = WeylSubset(roots=frozenset({(1, 3)}), h=(3, 3, 3))
