@@ -41,7 +41,7 @@ from .verify import MAX_N, lemma_names, run_suite
 from .weyl import WeylSubset, list_classes, make_weyl_subset, max_element
 
 
-# neither scans S_n (weyl-subsets counts classes on order ideals), but at h = (n, ..., n)
+# neither scans S_n (weyl-subsets counts classes as it grows them), but at h = (n, ..., n)
 # weyl-subsets lists n! singleton classes and fixed-points at w = e all n! permutations
 MAX_SCAN_N = 8
 

@@ -16,13 +16,24 @@ R \\ S reverses every arc, its peel read backwards is the minimum of S (second
 lemma below).  Peels and reach read S.before: bit u of entry v marks u -> v;
 a peel keeps the ready vertices as a mask, and placing v tests only S.after[v].
 
-A listing of every class of h (list_classes) peels nothing, by two lemmas.
-First, the order that enumerate_weyl_subsets grows for S is its
-largest-source peel, so its inverse is the class maximum.  Second,
-w -> w0 w maps class(S) onto class(R \\ S) and reverses weak order, since
-N(w0 w) is the complement of N(w); so the class minimum of S is w0 times
-the class maximum of R \\ S, and the two classes have the same size, which
-the order ideals count once per complementary pair.
+A listing of every class of h (list_classes) peels nothing and walks no
+order ideal, by three lemmas.  First, the order that enumerate_weyl_subsets
+grows for S is its largest-source peel, so its inverse is the class
+maximum.  Second, w -> w0 w maps class(S) onto class(R \\ S) and reverses
+weak order, since N(w0 w) is the complement of N(w); so the class minimum
+of S is w0 times the class maximum of R \\ S, and the two classes have the
+same size.  Third, the insertion that grows the order of S counts its
+class.  Let a(v) be the smallest u with h(u) >= v.  Once 1..c are placed,
+the live vertices [a(c + 1), c] are the earlier neighbours of c + 1, a
+clique, so every topological order ranks them as S does.  Every other
+placed vertex has retired: a is nondecreasing, so none of them has a later
+neighbour, and the later vertices see only how many retired vertices lie
+before, between and after the m live ones, a gap profile (g_0, ..., g_m).
+So each partial order carries its number of topological orders per gap
+profile.  Placing c + 1 after p live vertices splits g_p into (x, g_p - x)
+for x = 0..g_p; then each vertex below a(c + 2) retires, merging the gaps
+on its two sides and itself into one.  Vertex n has g_p + 1 places after p
+live vertices, so the class size is the sum of count * (g_p + 1).
 
 Worked example, h = (3, 4, 4, 4) and S = {(1, 3), (2, 3)}: edges (1, 3)
 and (2, 3) point downward (3 -> 1 and 3 -> 2), the other three edges point
@@ -32,9 +43,11 @@ class maximum (2, 3, 1, 4).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import and_, itemgetter, xor
+from math import factorial
+from operator import itemgetter, xor
 from typing import Iterable, Optional, Sequence
 
 from .hessenberg import (
@@ -43,7 +56,15 @@ from .hessenberg import (
     hessenberg_roots,
     validate_hessenberg,
 )
-from .perms import Perm, Root, inverse, inversion_set, prefix_listing, validate_perm
+from .perms import (
+    Perm,
+    Root,
+    inverse,
+    inversion_set,
+    mask_values,
+    prefix_listing,
+    validate_perm,
+)
 
 
 class InvariantError(RuntimeError):
@@ -153,15 +174,22 @@ def _root_masks(roots: Iterable[Root], n: int) -> list[int]:
 
 
 def _closure_violation(
-    inside: Sequence[int], selected: list[int], allowed: Iterable[Root]
+    inside: Sequence[int], selected: list[int]
 ) -> Optional[tuple[Root, Root, str]]:
     """find_closure_violation on out-masks: bit c of inside[a] marks (a, c)
-    as a root of S, and selected is _selected_masks(h)."""
+    as a root of S, and selected is _selected_masks(h).  Each side is tested
+    a vertex at a time: the roots (b, d) reached through a's roots (a, b)
+    may not select an (a, d) that the side lacks.  The first violation in
+    (side, a, b, d) order is returned."""
+    values = mask_values(len(inside) - 1)
     for side, out in (("subset", inside), ("complement", list(map(xor, selected, inside)))):
-        for a, b in allowed:
-            missing = out[b] & selected[a] & ~out[a]
-            if missing and out[a] >> b & 1:
-                return ((a, b), (b, (missing & -missing).bit_length() - 1), side)
+        for a, roots in enumerate(out):
+            lacking = selected[a] & ~roots
+            if lacking:
+                for b in values[roots]:
+                    missing = out[b] & lacking
+                    if missing:
+                        return ((a, b), (b, (missing & -missing).bit_length() - 1), side)
     return None
 
 
@@ -179,7 +207,7 @@ def find_closure_violation(
     stray = subset - allowed
     if stray:
         raise ValueError(f"root {min(stray)} is not selected by h = {list(h)}")
-    return _closure_violation(_root_masks(subset, len(h)), _selected_masks(h), allowed)
+    return _closure_violation(_root_masks(subset, len(h)), _selected_masks(h))
 
 
 def is_weyl_type(roots: Iterable[Root], h: Hessenberg) -> bool:
@@ -206,49 +234,82 @@ def make_weyl_subset(roots: Iterable[Root], h: Hessenberg) -> WeylSubset:
 def weyl_subset_of(w: Perm, h: Hessenberg) -> WeylSubset:
     """The Weyl-type subset N(w) & (roots selected by h) of a permutation w."""
     validate_perm(w)
+    h = validate_hessenberg(h)
     if len(w) != len(h):
         raise ValueError(f"size mismatch: {len(w)} vs {len(h)}")
-    S = WeylSubset(roots=inversion_set(w) & hessenberg_roots(h), h=tuple(h))
+    S = WeylSubset(roots=inversion_set(w) & hessenberg_roots(h), h=h)
     if not is_weyl_type(S.roots, S.h):
         raise InvariantError(f"N({list(w)}) & roots of h = {list(h)} is not of Weyl type")
     return S
 
 
-def _placed_before(order: Sequence[int], size: int) -> list[int]:
-    """Entry v (of size entries): the vertices before v in order, as a mask."""
-    placed_before = [0] * size
-    placed = 0
-    for v in order:
-        placed_before[v] = placed
-        placed |= 1 << v
-    return placed_before
+def _advance(counts: dict[tuple[int, ...], int], p: int,
+             keep: Sequence[bool]) -> dict[tuple[int, ...], int]:
+    """The gap profiles after a vertex is placed after p live vertices, from
+    those before it (counts: profile -> number of topological orders).  keep
+    tells, for each live vertex in order with the new one among them, whether
+    it stays live; each that retires merges its two gaps and itself."""
+    advanced: dict[tuple[int, ...], int] = {}
+    for gaps, count in counts.items():
+        for x in range(gaps[p] + 1):
+            split = gaps[:p] + (x, gaps[p] - x) + gaps[p + 1:]
+            merged = [split[0]]
+            for kept, gap in zip(keep, split[1:]):
+                if kept:
+                    merged.append(gap)
+                else:
+                    merged[-1] += 1 + gap
+            key = tuple(merged)
+            advanced[key] = advanced.get(key, 0) + count
+    return advanced
 
 
-def _grow(h: Hessenberg) -> list[tuple[tuple[Root, ...], Perm, tuple[int, ...]]]:
-    """One (image, order, inside) per acyclic orientation, sorted by image.
+def _grow(h: Hessenberg) -> list[tuple[tuple[Root, ...], Perm, tuple[int, ...], int]]:
+    """One (image, order, inside, size) per acyclic orientation, sorted by
+    image.
 
     order is a topological order w^{-1}, grown vertex by vertex: c enters
-    first or just after one of its earlier neighbours, a clique the order
-    ranks totally, and S gains (j, c) for the neighbours after c.  No choice
-    is a dead end or a repeat: prod(1 + a_c) orders.  Bit c of inside[a]
-    marks (a, c) in N(w) & R, read off the order's positions, and image lists
-    those roots sorted.  R's masks are built once, for the growth and the
-    closure test that re-checks each grown subset."""
+    first or just after one of its earlier neighbours [a(c), c - 1], a clique
+    the order ranks totally, and S gains (j, c) for the neighbours after c,
+    so bit c joins inside[j] for them.  No choice is a dead end or a repeat:
+    prod(1 + a_c) orders.  Bit c of inside[a] marks (a, c) in N(w) & R, and
+    image lists those roots sorted.  The same insertion splits and merges
+    each order's gap profiles (the third lemma of the module docstring), and
+    size is its class size.  Each grown subset is re-checked for Weyl type."""
+    n = len(h)
     selected = _selected_masks(h)
+    first = [bisect_left(h, v) + 1 for v in range(n + 2)]  # a(v); a(n + 1) = n + 1
+    level: list = [((), (0,) * (n + 1), {(0,): 1})]
+    for c in range(1, n + 1):
+        bit, stay = 1 << c, first[c + 1]
+        grown = []
+        for order, inside, counts in level:
+            spots, live = [0], []
+            for i, j in enumerate(order):
+                if j >= first[c]:
+                    spots.append(i + 1)
+                    live.append(j)
+            marked = list(inside)
+            for j in live:
+                marked[j] |= bit
+            for p, spot in enumerate(spots):
+                if p:
+                    marked[live[p - 1]] ^= bit
+                if c == n:
+                    carried = sum(count * (gaps[p] + 1) for gaps, count in counts.items())
+                else:
+                    carried = _advance(counts, p, [v >= stay for v in live[:p] + [c] + live[p:]])
+                grown.append((order[:spot] + (c,) + order[spot:], tuple(marked), carried))
+        level = grown
     roots = sorted(hessenberg_roots(h))
-    orders: list[Perm] = [()]
-    for c in range(1, len(h) + 1):
-        orders = [o[:at] + (c,) + o[at:] for o in orders
-                  for at in [0] + [i + 1 for i, j in enumerate(o) if selected[j] >> c & 1]]
-    grown = []
-    for order in orders:
-        inside = tuple(map(and_, selected, _placed_before(order, len(selected))))
+    records = []
+    for order, inside, size in level:
         image = tuple([r for r in roots if inside[r[0]] >> r[1] & 1])
-        if _closure_violation(inside, selected, roots) is not None:
+        if _closure_violation(inside, selected) is not None:
             raise InvariantError(f"grown {list(image)} for h = {list(h)} is not of Weyl type")
-        grown.append((image, order, inside))
-    grown.sort(key=itemgetter(0))
-    return grown
+        records.append((image, order, inside, size))
+    records.sort(key=itemgetter(0))
+    return records
 
 
 @lru_cache(maxsize=None)
@@ -257,15 +318,18 @@ def enumerate_weyl_subsets(h: Hessenberg) -> tuple[WeylSubset, ...]:
     N(w) & (selected roots) for one topological order w^{-1} of each
     acyclic orientation (see _grow).
 
-    Two lemmas let list_classes read each class off these orders:
+    Three lemmas let list_classes read each class off these orders:
     - the grown order is the largest-source peel, so w is max_element(S):
       vertex c is the largest label so far, and it enters first or just
       after an earlier neighbour, which is then its last predecessor;
     - w -> w0 w maps class(S) onto class(R \\ S) and reverses weak order,
       since N(w0 w) is the complement of N(w); so min_element(S) is
-      w0 max_element(R \\ S), and the two classes have the same size.
+      w0 max_element(R \\ S), and the two classes have the same size;
+    - the insertion counts the topological orders of S per gap profile
+      (see the module docstring), so class_size(S) comes with the order.
     """
-    return tuple(WeylSubset(roots=frozenset(image), h=h) for image, _, _ in _grow(h))
+    h = validate_hessenberg(h)
+    return tuple(WeylSubset(roots=frozenset(image), h=h) for image, *_ in _grow(h))
 
 
 def complement(S: WeylSubset) -> WeylSubset:
@@ -301,11 +365,14 @@ def _check_minimum(
     z: Perm, order: Sequence[int], inside: Sequence[int], selected: list[int]
 ) -> None:
     """Raise unless z, whose inverse is order, has the roots of S (bit c of
-    inside[a] marks (a, c) in S) and passes the minimality criterion: z^{-1}
-    applied to each negative simple root, whenever positive, must be a
-    selected root."""
-    if tuple(map(and_, selected, _placed_before(order, len(selected)))) != tuple(inside):
-        raise InvariantError(f"class minimum {list(z)} does not have the roots of S")
+    inside[a] marks (a, c) in S: c comes before a in order) and passes the
+    minimality criterion: z^{-1} applied to each negative simple root,
+    whenever positive, must be a selected root."""
+    placed = 0
+    for v in order:
+        if selected[v] & placed != inside[v]:
+            raise InvariantError(f"class minimum {list(z)} does not have the roots of S")
+        placed |= 1 << v
     for b, a in zip(order, order[1:]):
         if a < b and not selected[a] >> b & 1:
             raise InvariantError(f"class minimum {list(z)} fails the minimality criterion")
@@ -360,33 +427,34 @@ def class_size(S: WeylSubset) -> int:
 def list_classes(h: Hessenberg) -> list[tuple[tuple[Root, ...], int, Perm, Perm]]:
     """(sorted roots of S, class_size(S), max_element(S), min_element(S)) for
     each Weyl-type subset S of h, in enumerate_weyl_subsets order, read off
-    the grown orders (see enumerate_weyl_subsets for the two lemmas): each
-    maximum is its grown order inverted, each minimum w0 times the maximum
-    of the complement, and the order ideals are walked once per
-    complementary pair.  Every extreme is checked, none is peeled."""
+    the growth (see the module docstring for the three lemmas): each maximum
+    is its grown order inverted, each minimum w0 times the maximum of the
+    complement, found by its masks, and each size is the growth's count.
+    Every extreme is checked, none is peeled; complementary classes must
+    have equal sizes, and the sizes must add up to n!."""
+    h = validate_hessenberg(h)
     grown = _grow(h)
     selected = _selected_masks(h)
-    neighbours = _neighbour_masks(h)
-    pair = {inside: k for k, (_, _, inside) in enumerate(grown)}
+    pair = {inside: k for k, (_, _, inside, _) in enumerate(grown)}
     listing: list[tuple[tuple[Root, ...], int, Perm, Perm]] = []
-    for k, (image, order, inside) in enumerate(grown):
+    for image, order, inside, size in grown:
         w = inverse(order)
         _check_maximum(w, order, selected)
         j = pair.get(tuple(map(xor, selected, inside)))
         if j is None:
             raise InvariantError(f"the complement of {list(image)} for h = {list(h)} was not grown")
-        if j < k:
-            size = listing[j][1]
-        else:
-            # S's arcs run from each vertex to its neighbours after it in order
-            placed_before = _placed_before(order, len(selected))
-            before = list(map(and_, neighbours, placed_before))
-            after = list(map(xor, neighbours, before))
-            size = sum(_ideal_counts(before, after)[-1].values())
-        mirrored = grown[j][1][::-1]  # the inverse of w0 max_element(R \ S)
+        _, paired, _, paired_size = grown[j]
+        if paired_size != size:
+            raise InvariantError(f"the classes of {list(image)} and its complement for "
+                                 f"h = {list(h)} have sizes {size} and {paired_size}")
+        mirrored = paired[::-1]  # the inverse of w0 max_element(R \ S)
         z = inverse(mirrored)
         _check_minimum(z, mirrored, inside, selected)
         listing.append((image, size, w, z))
+    total = sum(size for _, size, _, _ in listing)
+    if total != factorial(len(h)):
+        raise InvariantError(f"the class sizes for h = {list(h)} add up to {total}, "
+                             f"not {len(h)}! = {factorial(len(h))}")
     return listing
 
 

@@ -224,6 +224,19 @@ class TestFamilies:
         with pytest.raises(ValueError, match="not a permutation"):
             route(w, h)
 
+    @pytest.mark.parametrize("route", [
+        fixed_points_by_reachability, fixed_points_by_translation,
+        reachability_family, interval_family,
+    ])
+    @pytest.mark.parametrize("h, diagnostic", [
+        ((3, 2, 3), "not nondecreasing at position 1"), ((2, 3, 4), r"h\(3\) = 4 exceeds n = 3"),
+    ], ids=["decreasing", "above-n"])
+    def test_non_hessenberg_functions_are_rejected(self, route, h, diagnostic):
+        # weyl_subset_of checks h before anything is cached, so neither route
+        # answers for an h outside the Hessenberg conditions
+        with pytest.raises(ValueError, match=diagnostic):
+            route((2, 1, 3), h)
+
 
 class TestSchubertRoute:
     def test_empty_subset_at_full_function(self):

@@ -14,12 +14,13 @@ import hesscomb
 from hesscomb import verify
 from hesscomb.cli import main
 from hesscomb.fixed_points import fixed_points_by_reachability, interval_family
-from hesscomb.hessenberg import enumerate_hessenberg
+from hesscomb.hessenberg import enumerate_hessenberg, hessenberg_roots
 from hesscomb.oracles import _cover_closure
 from hesscomb.orders import _gale_table, bruhat_interval, bruhat_leq
-from hesscomb.perms import all_perms
-from hesscomb.reach import reachable_masks, reachable_sets
+from hesscomb.perms import all_perms, identity, length, longest_element
+from hesscomb.reach import reachable_masks, reachable_sets, sources
 from hesscomb.verify import GLOBAL_CHECKS, MAX_N, PER_H_CHECKS, lemma_names, run_suite
+from hesscomb.weyl import max_element
 
 
 def test_full_suite_passes_at_small_ranks():
@@ -279,6 +280,82 @@ def test_row_checks_catch_a_missing_bit(monkeypatch, name):
     assert summary["ok"] is False
     assert summary["lemmas"][name] == {"checked": 36, "failures": failures}
     assert discrepancies == [{"n": 3, "h": None, "S": None, "operation": name}] * failures
+
+
+def _drop_w0_above_identity(real):
+    # the identity's up-row loses w0, as in ROW_FAILURES
+    def mutant(lo, hi):
+        interval = real(lo, hi)
+        return interval - {hi} if lo == identity(len(lo)) != hi else interval
+    return mutant
+
+
+def _orientation_ignored(real):
+    # a downward edge (j, i) is walked upward too
+    return lambda j, i, S: real(j, i, S) or (j, i) in hessenberg_roots(S.h)
+
+
+# One mutant per check: the name verify binds and a factory that turns the
+# real function into a broken one.  Each breaks the library function that
+# its check tests, never the check itself or its witness.
+MUTANTS = {
+    "bruhat-oracle": ("bruhat_interval", _drop_w0_above_identity),
+    "bruhat-partial-order": ("bruhat_interval", _drop_w0_above_identity),
+    "cell-translation": ("fixed_points_by_translation", lambda real: lambda v, h: real(v, h) - {v}),
+    "complement-bijection": ("complement", lambda real: lambda S: S),
+    # composing in the wrong order
+    "complement-involution": ("compose", lambda real: lambda a, b: real(b, a)),
+    # h(i) - i summed over i from 0
+    "dimension-count": ("total_dimension",
+                        lambda real: lambda h: sum(v - i for i, v in enumerate(h))),
+    "enumeration-count": ("all_perms", lambda real: lambda n: real(n)[:-1]),
+    "fixed-point-containment": ("fixed_points_by_reachability",
+                                lambda real: lambda w, h: real(w, h) | {identity(len(w))}),
+    # every inversion, whatever h selects
+    "hessenberg-length": ("hessenberg_length", lambda real: lambda w, h: length(w)),
+    "interval": ("class_of", lambda real: lambda S: real(S) - {max_element(S)}),
+    "inversion-root-action": ("inversion_set", lambda real: lambda w: real(w) - {(1, 2)}),
+    "j-set-formula": ("reachable_tuples", lambda real: lambda w, h, k: real(w, h, k)[:-1]),
+    "largest-source-reach": ("largest_source", lambda real: lambda S: min(sources(S))),
+    "main-theorem": ("fixed_points_by_reachability", lambda real: lambda w, h: real(w, h) - {w}),
+    "minimal-inversions": ("min_element", lambda real: max_element),
+    "orientation-bijection": ("enumerate_weyl_subsets", lambda real: lambda h: real(h)[1:]),
+    "partition": ("class_of", lambda real: lambda S: real(S) - {max_element(S)}),
+    "reachability-order": ("is_reachable", _orientation_ignored),
+    "reachable-monotone": ("is_reachable", _orientation_ignored),
+    "schubert-duality": ("schubert_fixed_points",
+                         lambda real: lambda S: real(S) - {identity(S.n)}),
+    # the first vertex deleted, whichever was asked for
+    "source-induction": ("induced_subset", lambda real: lambda S, k: real(S, 1)),
+    # sinks for sources
+    "source-realization": ("sources",
+                           lambda real: lambda S: {v for v in range(1, S.n + 1) if not S.after[v]}),
+    # the whole Bruhat interval, as if every member were the class maximum
+    "strict-containment": ("fixed_points_by_reachability",
+                           lambda real: lambda w, h: bruhat_interval(w, longest_element(len(w)))),
+    # the first vertex deleted, whichever was asked for
+    "vertex-deletion": ("delete_vertex", lambda real: lambda h, k: real(h, 1)),
+    "weak-implies-bruhat": ("bruhat_interval", _drop_w0_above_identity),
+    # the identity taken for the top
+    "weak-order-reversal": ("weak_left_leq",
+                            lambda real: lambda u, v: real(u, v) or v == identity(len(v))),
+}
+
+
+def test_every_check_has_a_mutant():
+    assert sorted(MUTANTS) == lemma_names()
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_every_check_fails_under_its_mutant(monkeypatch, name):
+    attribute, mutate = MUTANTS[name]
+    monkeypatch.setattr(verify, attribute, mutate(getattr(verify, attribute)))
+    summary, discrepancies = run_suite(3, lemma=name)
+    assert summary["ok"] is False
+    assert summary["lemmas"][name]["failures"] == len(discrepancies) > 0
+    for record in discrepancies:
+        assert set(record) == {"n", "h", "S", "operation"}
+        assert (record["n"], record["operation"]) == (3, name)
 
 
 def test_source_induction_failure_records(monkeypatch):

@@ -113,6 +113,17 @@ class TestSubsetOf:
         with pytest.raises(ValueError):
             weyl_subset_of((1, 2, 3), H_EXAMPLE)
 
+    @pytest.mark.parametrize("operation", [
+        lambda h: weyl_subset_of((2, 1, 3), h), enumerate_weyl_subsets, list_classes,
+    ], ids=["weyl_subset_of", "enumerate_weyl_subsets", "list_classes"])
+    @pytest.mark.parametrize("h, diagnostic", [
+        ((3, 2, 3), "not nondecreasing at position 1"), ((2, 3, 4), r"h\(3\) = 4 exceeds n = 3"),
+    ], ids=["decreasing", "above-n"])
+    def test_non_hessenberg_functions_are_rejected(self, operation, h, diagnostic):
+        # the growth's bound a(v) and the selected masks assume a valid h
+        with pytest.raises(ValueError, match=diagnostic):
+            operation(h)
+
 
 class TestEnumerateSubsets:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -290,7 +301,7 @@ class TestClasses:
     def test_rank_ten_listing_without_enumeration(self, no_enumeration):
         # the listing grows orientations: no scan of the 10! permutations
         rng = random.Random(10)
-        h = rng.choice([h for h in enumerate_hessenberg(10) if 200 <= _orientation_count(h) <= 500])
+        h = _rank_ten_h(rng)
         listing = enumerate_weyl_subsets(h)
         assert len(listing) == _orientation_count(h)
         for S in listing:
@@ -302,6 +313,15 @@ class TestClasses:
             assert {min_element(S), max_element(S)} <= cls
             for v in cls:
                 assert inversion_set(v) & hessenberg_roots(h) == S.roots
+
+    def test_rank_ten_listing_sizes_without_enumeration(self, no_enumeration):
+        # the growth counts every class of the same rank-ten h, walking no ideals
+        rng = random.Random(10)
+        h = _rank_ten_h(rng)
+        listing = list_classes(h)
+        assert sum(size for _, size, _, _ in listing) == math.factorial(10)
+        for image, size, _, _ in rng.sample(listing, 3):
+            assert size == class_size(WeylSubset(frozenset(image), h))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_size_counts_the_class(self, n):
@@ -322,6 +342,11 @@ class TestClasses:
                 for y in all_perms(n):
                     if S.roots <= inversion_set(y):
                         assert low <= inversion_set(y)
+
+
+def _rank_ten_h(rng):
+    """A rank-ten h with 200 to 500 classes, drawn from rng."""
+    return rng.choice([h for h in enumerate_hessenberg(10) if 200 <= _orientation_count(h) <= 500])
 
 
 def _poincare(h):
@@ -464,6 +489,19 @@ def test_listing_matches_the_per_class_operations(n):
             assert (size, w_max, z_min) == (class_size(S), max_element(S), min_element(S))
 
 
+@pytest.mark.parametrize("h", [(7,) * 7, (3, 4, 5, 6, 7, 7, 7)])
+def test_listing_walks_no_order_ideals(monkeypatch, h):
+    # every size is the growth's count; (7, ..., 7) never retires a vertex
+    # before the last, (3, 4, 5, 6, 7, 7, 7) retires one at each of c = 3..6
+    def forbidden(before, after):
+        raise AssertionError(f"_ideal_counts({list(before)}, {list(after)}) was called")
+
+    monkeypatch.setattr(weyl, "_ideal_counts", forbidden)
+    listing = list_classes(h)
+    assert len(listing) == _orientation_count(h)
+    assert sum(size for _, size, _, _ in listing) == math.factorial(7)
+
+
 def test_listing_peels_nothing_and_leaves_max_element_cache_empty(capsys, monkeypatch):
     # every maximum is a grown order and every minimum is read off the
     # complement's, so a listing neither peels nor fills max_element's cache
@@ -479,8 +517,9 @@ def test_listing_peels_nothing_and_leaves_max_element_cache_empty(capsys, monkey
 
 def test_class_invariants_survive_optimized_mode():
     # a cyclic S has no class, min_element checks what the peel gives it,
-    # and every subset built or grown is re-checked for Weyl type; every
-    # check must still raise when python -O strips asserts
+    # every subset built or grown is re-checked for Weyl type, and a listing
+    # checks its sizes by pair and in sum; every check must still raise when
+    # python -O strips asserts
     script = textwrap.dedent("""
         import json
         import sys
@@ -508,19 +547,25 @@ def test_class_invariants_survive_optimized_mode():
         # deleting vertex 4 leaves {(1, 3)} in h = (3, 3, 3), whose complement
         # is not closed; a closure test that always fails reaches the others
         attempt(lambda S: weyl.induced_subset(S, 4), WeylSubset(frozenset({(1, 3)}), (3, 3, 3, 4)))
-        weyl._closure_violation = lambda inside, selected, allowed: ((1, 2), (2, 3), "subset")
+        weyl._closure_violation = lambda inside, selected: ((1, 2), (2, 3), "subset")
         attempt(lambda h: weyl.weyl_subset_of((1, 2), h), (2, 2))
         attempt(weyl.enumerate_weyl_subsets, (2, 2))
         # h = (1, 2) has one class, S_2 with maximum (2, 1); the identity
         # order is another topological order of it
-        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0))]
+        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0), 2)]
         attempt(weyl.list_classes, (1, 2))
         # h = (2, 2): given the order (1, 2) for the complement {(1, 2)} of
         # the empty S, the minimum read off it is (2, 1), which has the root
         # (1, 2) that S lacks
-        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0)), (((1, 2),), (1, 2), (0, 4, 0))]
+        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0), 1), (((1, 2),), (1, 2), (0, 4, 0), 1)]
         attempt(weyl.list_classes, (2, 2))
-        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0))]  # no complement
+        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0), 1)]  # no complement
+        attempt(weyl.list_classes, (2, 2))
+        # h = (2, 2) has two singleton classes; sizes that differ between the
+        # complementary pair, or that are equal but do not add up to 2!
+        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0), 2), (((1, 2),), (2, 1), (0, 4, 0), 1)]
+        attempt(weyl.list_classes, (2, 2))
+        weyl._grow = lambda h: [((), (1, 2), (0, 0, 0), 2), (((1, 2),), (2, 1), (0, 4, 0), 2)]
         attempt(weyl.list_classes, (2, 2))
         print(json.dumps(caught))
     """)
@@ -532,7 +577,7 @@ def test_class_invariants_survive_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     caught = json.loads(proc.stdout)
-    assert len(caught) == 11
+    assert len(caught) == 13
     assert all("directed cycle" in message for message in caught[:3])
     assert "minimality criterion" in caught[3]
     assert "does not have the roots of S" in caught[4]
@@ -542,3 +587,5 @@ def test_class_invariants_survive_optimized_mode():
     assert "class maximum [1, 2] fails the maximality criterion" in caught[8]
     assert "class minimum [2, 1] does not have the roots of S" in caught[9]
     assert "the complement of [] for h = [2, 2] was not grown" in caught[10]
+    assert caught[11] == "the classes of [] and its complement for h = [2, 2] have sizes 2 and 1"
+    assert caught[12] == "the class sizes for h = [2, 2] add up to 4, not 2! = 2"
