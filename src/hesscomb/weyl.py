@@ -61,7 +61,6 @@ from .perms import (
     Root,
     inverse,
     inversion_set,
-    mask_values,
     prefix_listing,
     validate_perm,
 )
@@ -180,13 +179,16 @@ def _closure_violation(
     as a root of S, and selected is _selected_masks(h).  Each side is tested
     a vertex at a time: the roots (b, d) reached through a's roots (a, b)
     may not select an (a, d) that the side lacks.  The first violation in
-    (side, a, b, d) order is returned."""
-    values = mask_values(len(inside) - 1)
+    (side, a, b, d) order is returned.  The bits of a's roots are walked
+    one by one, so the cost is linear in the roots at any rank."""
     for side, out in (("subset", inside), ("complement", list(map(xor, selected, inside)))):
         for a, roots in enumerate(out):
             lacking = selected[a] & ~roots
             if lacking:
-                for b in values[roots]:
+                while roots:
+                    low = roots & -roots
+                    roots ^= low
+                    b = low.bit_length() - 1
                     missing = out[b] & lacking
                     if missing:
                         return ((a, b), (b, (missing & -missing).bit_length() - 1), side)

@@ -100,6 +100,42 @@ class TestWeylType:
                         assert b == c and (a, b) in part and (c, d) in part
                         assert (a, d) in allowed and (a, d) not in part
 
+    def test_closure_check_stays_small_at_large_rank(self):
+        # the closure test walks each vertex's roots, so rank 25 and the
+        # graph command at rank 30 stay within a small memory and time
+        # budget; a table over every mask of n bits would not
+        script = textwrap.dedent("""
+            import io
+            import json
+            import resource
+            from contextlib import redirect_stdout
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+            from hesscomb import cli
+            from hesscomb.hessenberg import hessenberg_roots
+            from hesscomb.perms import longest_element
+            from hesscomb.weyl import (find_closure_violation, is_weyl_type,
+                                       make_weyl_subset, weyl_subset_of)
+            h = (25,) * 25
+            everything = hessenberg_roots(h)
+            checks = [
+                make_weyl_subset((), h).roots == frozenset(),
+                is_weyl_type(everything, h),
+                weyl_subset_of(longest_element(25), h).roots == everything,
+                find_closure_violation({(1, 2), (2, 3)}, h) == ((1, 2), (2, 3), "subset"),
+            ]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli.main(["graph", "--h", ",".join(["30"] * 30), "--S", "",
+                                 "--format", "json"])
+            checks.append(code == 0 and len(json.loads(out.getvalue())["arcs"]) == 435)
+            print(json.dumps(checks))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [True] * 5
+
 
 class TestSubsetOf:
     def test_identity_gives_empty(self):
