@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import AbstractSet
 
-from .perms import Perm, inversion_set, mask_values, prefix_listing
+from .perms import Perm, inversion_set, mask_members, prefix_listing
 
 KTuple = tuple[int, ...]
 
@@ -75,11 +75,10 @@ def _gale_table(low: int, high: int) -> frozenset[int]:
     """The k-sets (bit v for value v) whose sorted values lie componentwise
     between those of the k-sets low and high; empty when low is not below
     high.  The increasing k-tuples within the bounds are grown entry by
-    entry, each held as its mask and its last entry; the bounds are listed
-    from a mask_values table wide enough for both masks."""
-    values = mask_values(max(low, high).bit_length() - 1)
+    entry, each held as its mask and its last entry; the bounds' values
+    are read off their set bits, so no table spans the width of a mask."""
     grown = [(0, 0)]
-    for a, b in zip(values[low], values[high]):
+    for a, b in zip(mask_members(low), mask_members(high)):
         grown = [(mask | 1 << x, x) for mask, last in grown
                  for x in range(max(a, last + 1), b + 1)]
     return frozenset(mask for mask, _ in grown)

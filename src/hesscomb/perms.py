@@ -5,13 +5,14 @@ A permutation w is the tuple (w(1), ..., w(n)) of values 1..n.  Roots of the
 type A root system are ordered pairs (i, j) with i != j, standing for
 t_i - t_j; a root is positive exactly when i < j.  All indices are 1-based.
 A set of values is often held as a bitmask, bit v for value v; mask_values
-lists the members of every such mask once per rank, and image_family moves
-a family of prefix masks through a permutation.  prefix_listing grows
-the permutations with given prefix sets, in lexicographic order, and
-prefix_listing_json grows that listing straight into its JSON text: one
-growth builds both kinds of row, from per-value atoms (1-tuples, or text
-pieces), and since it orders the rows by their values alone, the text rows
-come out in lexicographic order too.
+lists the members of every such mask once per rank, for the loops that
+visit most masks of a rank, mask_members lists those of one mask, and
+image_family moves a family of prefix masks through a permutation.
+prefix_listing grows the permutations with given prefix sets, in
+lexicographic order, and prefix_listing_json grows that listing straight
+into its JSON text: one growth builds both kinds of row, from per-value
+atoms (1-tuples, or text pieces), and since it orders the rows by their
+values alone, the text rows come out in lexicographic order too.
 """
 
 from __future__ import annotations
@@ -164,6 +165,22 @@ def mask_values(n: int) -> tuple[tuple[int, ...], ...]:
     for v in range(1, n + 1):
         table += [t + (v,) for t in table]
     return tuple(table)
+
+
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The increasing tuple of the values v whose bit v is set, read off the
+    set bits one by one, so the cost follows the members and not the width:
+    mask_values(n)[mask] for a mask of bits 1..n, without its table.
+
+    >>> mask_members(0b1010)
+    (1, 3)
+    """
+    members = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        members.append(low.bit_length() - 1)
+    return tuple(members)
 
 
 def image_family(family: Sequence[Iterable[int]], w: Perm) -> list[set[int]]:

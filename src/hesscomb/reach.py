@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .hessenberg import Hessenberg
 from .orders import KTuple
-from .perms import Perm, mask_values
+from .perms import Perm, mask_members
 from .weyl import WeylSubset, is_acyclic, weyl_subset_of
 
 
@@ -99,11 +99,9 @@ def reachable_sets(S: WeylSubset, k: int) -> tuple[KTuple, ...]:
     {1, ..., k - 1}; conversely such a pairing extends by k -> t.  The sets
     are read off reachable_masks(S), which applies this once per level.
     """
-    n = S.n
-    if not 1 <= k <= n - 1:
+    if not 1 <= k <= S.n - 1:
         raise ValueError(f"k out of range: {k}")
-    values = mask_values(n)
-    return tuple(sorted(values[mask] for mask in reachable_masks(S)[k]))
+    return tuple(sorted(map(mask_members, reachable_masks(S)[k])))
 
 
 def reachable_tuples(w: Perm, h: Hessenberg, k: int) -> tuple[KTuple, ...]:

@@ -15,6 +15,10 @@ each in turn, gives its maximum or order ideals, which count and list it; as
 R \\ S reverses every arc, its peel read backwards is the minimum of S (second
 lemma below).  Peels and reach read S.before: bit u of entry v marks u -> v;
 a peel keeps the ready vertices as a mask, and placing v tests only S.after[v].
+One criterion checks each extreme on the order of a maximum: its roots, and
+that values k and k + 1 at positions a < b make (a, b) a selected root; a
+minimum is checked as the maximum of R \\ S whose order it reverses.  An S
+built by hand with a root h does not select, or a cycle, is a ValueError.
 
 A listing of every class of h (list_classes) peels nothing and walks no
 order ideal, by three lemmas.  First, the order that enumerate_weyl_subsets
@@ -195,6 +199,15 @@ def _closure_violation(
     return None
 
 
+def _selected_only(roots: Iterable[Root], h: Hessenberg) -> frozenset[Root]:
+    """roots as a frozenset, raising ValueError for a root h does not select."""
+    subset = frozenset(roots)
+    stray = subset - hessenberg_roots(h)
+    if stray:
+        raise ValueError(f"root {min(stray)} is not selected by h = {list(h)}")
+    return subset
+
+
 def find_closure_violation(
     roots: Iterable[Root], h: Hessenberg
 ) -> Optional[tuple[Root, Root, str]]:
@@ -204,12 +217,7 @@ def find_closure_violation(
     `side` ("subset" or "complement").  Roots outside the selected set are
     rejected outright.
     """
-    allowed = hessenberg_roots(h)
-    subset = frozenset(roots)
-    stray = subset - allowed
-    if stray:
-        raise ValueError(f"root {min(stray)} is not selected by h = {list(h)}")
-    return _closure_violation(_root_masks(subset, len(h)), _selected_masks(h))
+    return _closure_violation(_root_masks(_selected_only(roots, h), len(h)), _selected_masks(h))
 
 
 def is_weyl_type(roots: Iterable[Root], h: Hessenberg) -> bool:
@@ -345,61 +353,62 @@ def max_element(S: WeylSubset) -> Perm:
 
     The k-th vertex peeled from the orientation of S, always the largest
     source of what is left, takes the value k.  An acyclic orientation
-    always has a source, so the peel completes.
+    always has a source, so the peel completes.  A root h does not select,
+    or a directed cycle, raises ValueError.
     """
+    _selected_only(S.roots, S.h)
     order = _peel(S.before, S.after)
     if len(order) != S.n:
-        raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
+        raise ValueError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
     return inverse(tuple(order))
 
 
-def _check_maximum(w: Perm, order: Sequence[int], selected: list[int]) -> None:
-    """Raise unless w, whose inverse is order, passes the maximality
-    criterion: whenever values k and k + 1 sit at positions a < b, the
-    swap that would raise w in weak order must change S, so (a, b) must
-    be a selected root (selected is _selected_masks(h))."""
-    for a, b in zip(order, order[1:]):
-        if a < b and not selected[a] >> b & 1:
-            raise InvariantError(f"class maximum {list(w)} fails the maximality criterion")
-
-
-def _check_minimum(
-    z: Perm, order: Sequence[int], inside: Sequence[int], selected: list[int]
-) -> None:
-    """Raise unless z, whose inverse is order, has the roots of S (bit c of
-    inside[a] marks (a, c) in S: c comes before a in order) and passes the
-    minimality criterion: z^{-1} applied to each negative simple root,
-    whenever positive, must be a selected root."""
+def _checked_maximum(order: Sequence[int], inside: Sequence[int], selected: list[int]) -> Perm:
+    """w = inverse(order), raising unless it is the class maximum of the
+    subset with out-masks inside (bit c of inside[a] marks (a, c); selected
+    is _selected_masks(h)).  Its roots must be those of inside: (a, c) is a
+    root of w when c comes before a in order.  And it must pass the
+    maximality criterion: whenever values k and k + 1 sit at positions
+    a < b, the swap that would raise w in weak order must change its roots,
+    so (a, b) must be selected.  A class minimum is w0 times the maximum of
+    the complement (second lemma), so this one criterion checks both."""
+    w = inverse(order)
     placed = 0
     for v in order:
         if selected[v] & placed != inside[v]:
-            raise InvariantError(f"class minimum {list(z)} does not have the roots of S")
+            raise InvariantError(f"class maximum {list(w)} does not have the roots of its subset")
         placed |= 1 << v
-    for b, a in zip(order, order[1:]):
+    for a, b in zip(order, order[1:]):
         if a < b and not selected[a] >> b & 1:
-            raise InvariantError(f"class minimum {list(z)} fails the minimality criterion")
+            raise InvariantError(f"class maximum {list(w)} fails the maximality criterion")
+    return w
 
 
 def min_element(S: WeylSubset) -> Perm:
     """The weak-order minimum of class_of(S), w0 max_element(R \\ S): R \\ S
-    reverses every arc of S, so the peel with S's masks swapped, read
-    backwards, is the inverse of that product."""
-    order = _peel(S.after, S.before)[::-1]
+    reverses every arc of S, so the peel with S's masks swapped is the order
+    of that maximum, checked against the roots of R \\ S; read backwards, it
+    is the order of the minimum.  A root h does not select, or a directed
+    cycle, raises ValueError."""
+    roots = _selected_only(S.roots, S.h)
+    order = _peel(S.after, S.before)
     if len(order) != S.n:
-        raise InvariantError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
-    z = inverse(tuple(order))
-    _check_minimum(z, order, _root_masks(S.roots, S.n), _selected_masks(S.h))
-    return z
+        raise ValueError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
+    selected = _selected_masks(S.h)
+    _checked_maximum(order, list(map(xor, selected, _root_masks(roots, S.n))), selected)
+    return inverse(order[::-1])
 
 
-def _ideal_counts(before: Sequence[int], after: Sequence[int]) -> list[dict[int, int]]:
+def _ideal_counts(S: WeylSubset) -> list[dict[int, int]]:
     """For each size k, the order ideals with k vertices of the orientation
-    with predecessor masks before and successor masks after (as in
-    WeylSubset), each with its number of topological orders; size k + 1
-    adds one source of what is left."""
+    of S, each with its number of topological orders; size k + 1 adds one
+    source of what is left.  A root h does not select, or a directed cycle,
+    raises ValueError."""
+    _selected_only(S.roots, S.h)
+    before, after = S.before, S.after
     ideals = [{0: 1}]
     ready = {0: _ready(before)}  # each ideal's sources, as a mask
-    for _ in range(len(before) - 1):
+    for _ in range(S.n):
         grown: dict[int, int] = {}
         for ideal, count in ideals[-1].items():
             left = ready[ideal]
@@ -412,8 +421,7 @@ def _ideal_counts(before: Sequence[int], after: Sequence[int]) -> list[dict[int,
                 grown[ideal | bit] = grown.get(ideal | bit, 0) + count
         ideals.append(grown)
     if not ideals[-1]:
-        raise InvariantError(f"the orientation with predecessor masks {list(before)} "
-                             "has a directed cycle")
+        raise ValueError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
     return ideals
 
 
@@ -423,7 +431,7 @@ def class_size(S: WeylSubset) -> int:
     >>> class_size(WeylSubset(frozenset(), (1, 2, 3, 4)))
     24
     """
-    return sum(_ideal_counts(S.before, S.after)[-1].values())
+    return sum(_ideal_counts(S)[-1].values())
 
 
 def list_classes(h: Hessenberg) -> list[tuple[tuple[Root, ...], int, Perm, Perm]]:
@@ -432,16 +440,16 @@ def list_classes(h: Hessenberg) -> list[tuple[tuple[Root, ...], int, Perm, Perm]
     the growth (see the module docstring for the three lemmas): each maximum
     is its grown order inverted, each minimum w0 times the maximum of the
     complement, found by its masks, and each size is the growth's count.
-    Every extreme is checked, none is peeled; complementary classes must
-    have equal sizes, and the sizes must add up to n!."""
+    Each grown order is checked once, as a maximum against its own roots,
+    and none is peeled; complementary classes must have equal sizes, and
+    the sizes must add up to n!."""
     h = validate_hessenberg(h)
     grown = _grow(h)
     selected = _selected_masks(h)
     pair = {inside: k for k, (_, _, inside, _) in enumerate(grown)}
     listing: list[tuple[tuple[Root, ...], int, Perm, Perm]] = []
     for image, order, inside, size in grown:
-        w = inverse(order)
-        _check_maximum(w, order, selected)
+        w = _checked_maximum(order, inside, selected)
         j = pair.get(tuple(map(xor, selected, inside)))
         if j is None:
             raise InvariantError(f"the complement of {list(image)} for h = {list(h)} was not grown")
@@ -449,10 +457,8 @@ def list_classes(h: Hessenberg) -> list[tuple[tuple[Root, ...], int, Perm, Perm]
         if paired_size != size:
             raise InvariantError(f"the classes of {list(image)} and its complement for "
                                  f"h = {list(h)} have sizes {size} and {paired_size}")
-        mirrored = paired[::-1]  # the inverse of w0 max_element(R \ S)
-        z = inverse(mirrored)
-        _check_minimum(z, mirrored, inside, selected)
-        listing.append((image, size, w, z))
+        # w0 max_element(R \ S); that maximum is checked in its own record
+        listing.append((image, size, w, inverse(paired[::-1])))
     total = sum(size for _, size, _, _ in listing)
     if total != factorial(len(h)):
         raise InvariantError(f"the class sizes for h = {list(h)} add up to {total}, "
@@ -464,7 +470,7 @@ def list_classes(h: Hessenberg) -> list[tuple[tuple[Root, ...], int, Perm, Perm]
 def class_of(S: WeylSubset) -> frozenset[Perm]:
     """All w with N(w) & (selected roots) = S, the weak-order interval from
     min_element(S) to max_element(S), grown on the order ideals of S."""
-    return frozenset(map(inverse, prefix_listing(_ideal_counts(S.before, S.after)[1:])))
+    return frozenset(map(inverse, prefix_listing(_ideal_counts(S)[1:])))
 
 
 def induced_subset(S: WeylSubset, k: int) -> WeylSubset:

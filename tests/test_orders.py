@@ -1,7 +1,11 @@
 """Bruhat order, weak left order, k-tuple order, and interval operations."""
 
 import itertools
+import json
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -191,6 +195,24 @@ class TestBruhatFamily:
         assert family == [set(), {0b110, 0b1010}, {0b1110}]
         # through the shift 1 -> 3, 2 -> 1, 3 -> 2
         assert image_family(family, (3, 1, 2)) == [set(), {0b1010, 0b1100}, {0b1110}]
+
+    def test_small_family_stays_small_at_large_rank(self):
+        # [e, s1] at rank 20 has 21 prefix sets; each table follows its
+        # bounds' members, where one over every mask of the top bit's width
+        # would take hundreds of MB
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+            from hesscomb.orders import bruhat_family
+            from hesscomb.perms import identity
+            family = bruhat_family(identity(20), (2, 1) + tuple(range(3, 21)))
+            print(sum(map(len, family)), sorted(family[0]))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split(" ", 1) == ["21", "[2, 4]\n"]
 
     @pytest.mark.parametrize("args, message", [
         (((1, 2), (2, 1, 3)), "size mismatch: 2 vs 3"),

@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -185,6 +188,23 @@ class TestReachableTuples:
                     )
                     for w in class_of(S):
                         assert reachable_tuples(w, h, k) == want
+
+    def test_one_level_stays_small_at_large_rank(self):
+        # with no edges at rank 24 only {1, ..., k} is reachable; its members
+        # are read off its set bits, where a table over every mask of the
+        # rank would not fit in the limit
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+            from hesscomb.reach import reachable_sets
+            from hesscomb.weyl import WeylSubset
+            print(reachable_sets(WeylSubset(frozenset(), tuple(range(1, 25))), 12))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{(tuple(range(1, 13)),)}\n"
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

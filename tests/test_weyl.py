@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -246,9 +247,22 @@ class TestOrientation:
 
     @pytest.mark.parametrize("operation", [class_of, min_element, max_element, class_size])
     def test_cyclic_orientation_has_no_class(self, operation):
+        # a hand-built S is input, so its cycle is a ValueError
         cyclic = WeylSubset(roots=frozenset({(1, 3)}), h=(3, 3, 3))
-        with pytest.raises(InvariantError, match="directed cycle"):
+        with pytest.raises(ValueError, match="directed cycle"):
             operation(cyclic)
+
+    @pytest.mark.parametrize("operation", [class_of, min_element, max_element, class_size])
+    @pytest.mark.parametrize("roots, h, stray", [
+        ({(1, 3)}, (2, 3, 3), (1, 3)),  # acyclic on the selected roots, which ignore it
+        ({(1, 2), (2, 4)}, (2, 3, 3, 4), (2, 4)),
+        ({(1, 3)}, (1, 2, 3), (1, 3)),  # h selects no root at all
+        ({(0, 1)}, (2, 2), (0, 1)),
+    ])
+    def test_stray_root_has_no_class(self, operation, roots, h, stray):
+        S = WeylSubset(roots=frozenset(roots), h=h)
+        with pytest.raises(ValueError, match=re.escape(f"root {stray} is not selected")):
+            operation(S)
 
     def test_produced_orientations_are_acyclic(self):
         for h in enumerate_hessenberg(4):
@@ -529,8 +543,8 @@ def test_listing_matches_the_per_class_operations(n):
 def test_listing_walks_no_order_ideals(monkeypatch, h):
     # every size is the growth's count; (7, ..., 7) never retires a vertex
     # before the last, (3, 4, 5, 6, 7, 7, 7) retires one at each of c = 3..6
-    def forbidden(before, after):
-        raise AssertionError(f"_ideal_counts({list(before)}, {list(after)}) was called")
+    def forbidden(S):
+        raise AssertionError(f"_ideal_counts({S}) was called")
 
     monkeypatch.setattr(weyl, "_ideal_counts", forbidden)
     listing = list_classes(h)
@@ -552,10 +566,10 @@ def test_listing_peels_nothing_and_leaves_max_element_cache_empty(capsys, monkey
 
 
 def test_class_invariants_survive_optimized_mode():
-    # a cyclic S has no class, min_element checks what the peel gives it,
-    # every subset built or grown is re-checked for Weyl type, and a listing
-    # checks its sizes by pair and in sum; every check must still raise when
-    # python -O strips asserts
+    # min_element checks what the peel gives it, every subset built or grown
+    # is re-checked for Weyl type, a listing checks each grown order once, as
+    # a maximum, and its sizes by pair and in sum; every check must still
+    # raise when python -O strips asserts
     script = textwrap.dedent("""
         import json
         import sys
@@ -571,11 +585,9 @@ def test_class_invariants_survive_optimized_mode():
             except InvariantError as exc:
                 caught.append(str(exc))
 
-        cyclic = WeylSubset(frozenset({(1, 3)}), (3, 3, 3))
-        for operation in (weyl.class_size, weyl.max_element, weyl.min_element):
-            attempt(operation, cyclic)
         peel = weyl._peel
-        # min_element reverses what it is given, so it sees the max peel's order
+        # min_element checks its peel as the maximum of the complement; here
+        # it gets the max peel of S reversed, the order of the identity
         weyl._peel = lambda before, after: peel(after, before)[::-1]
         attempt(weyl.min_element, WeylSubset(frozenset(), (1, 2, 3)))
         weyl._peel = lambda before, after: list(range(len(before) - 1, 0, -1))
@@ -590,10 +602,14 @@ def test_class_invariants_survive_optimized_mode():
         # order is another topological order of it
         weyl._grow = lambda h: [((), (1, 2), (0, 0, 0), 2)]
         attempt(weyl.list_classes, (1, 2))
-        # h = (2, 2): given the order (1, 2) for the complement {(1, 2)} of
-        # the empty S, the minimum read off it is (2, 1), which has the root
-        # (1, 2) that S lacks
+        # h = (2, 2): the order (1, 2) given to the complement {(1, 2)} of
+        # the empty S lacks its root (1, 2)
         weyl._grow = lambda h: [((), (1, 2), (0, 0, 0), 1), (((1, 2),), (1, 2), (0, 4, 0), 1)]
+        attempt(weyl.list_classes, (2, 2))
+        # h = (2, 2) with the two grown orders swapped: the first record's
+        # order (2, 1) has the root (1, 2) that its subset lacks, and its own
+        # check catches it before its complement's record is read
+        weyl._grow = lambda h: [((), (2, 1), (0, 0, 0), 1), (((1, 2),), (1, 2), (0, 4, 0), 1)]
         attempt(weyl.list_classes, (2, 2))
         weyl._grow = lambda h: [((), (1, 2), (0, 0, 0), 1)]  # no complement
         attempt(weyl.list_classes, (2, 2))
@@ -612,16 +628,16 @@ def test_class_invariants_survive_optimized_mode():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    caught = json.loads(proc.stdout)
-    assert len(caught) == 13
-    assert all("directed cycle" in message for message in caught[:3])
-    assert "minimality criterion" in caught[3]
-    assert "does not have the roots of S" in caught[4]
-    assert caught[5] == "S with vertex 4 deleted is not of Weyl type"
-    assert caught[6] == "N([1, 2]) & roots of h = [2, 2] is not of Weyl type"
-    assert caught[7] == "grown [(1, 2)] for h = [2, 2] is not of Weyl type"
-    assert "class maximum [1, 2] fails the maximality criterion" in caught[8]
-    assert "class minimum [2, 1] does not have the roots of S" in caught[9]
-    assert "the complement of [] for h = [2, 2] was not grown" in caught[10]
-    assert caught[11] == "the classes of [] and its complement for h = [2, 2] have sizes 2 and 1"
-    assert caught[12] == "the class sizes for h = [2, 2] add up to 4, not 2! = 2"
+    assert json.loads(proc.stdout) == [
+        "class maximum [1, 2, 3] fails the maximality criterion",
+        "class maximum [2, 1] does not have the roots of its subset",
+        "S with vertex 4 deleted is not of Weyl type",
+        "N([1, 2]) & roots of h = [2, 2] is not of Weyl type",
+        "grown [(1, 2)] for h = [2, 2] is not of Weyl type",
+        "class maximum [1, 2] fails the maximality criterion",
+        "class maximum [1, 2] does not have the roots of its subset",
+        "class maximum [2, 1] does not have the roots of its subset",
+        "the complement of [] for h = [2, 2] was not grown",
+        "the classes of [] and its complement for h = [2, 2] have sizes 2 and 1",
+        "the class sizes for h = [2, 2] add up to 4, not 2! = 2",
+    ]
