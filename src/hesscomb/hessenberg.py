@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .perms import Perm, Root, inversion_set
+from .perms import Perm, Root, inversion_set, validate_perm
 
 Hessenberg = tuple[int, ...]
 
@@ -50,9 +50,11 @@ def hessenberg_roots(h: Hessenberg) -> frozenset[Root]:
 
 def hessenberg_length(w: Perm, h: Hessenberg) -> int:
     """Number of inversions (i, j) of w with j <= h(i); the dimension of the
-    Hessenberg Schubert cell of w."""
+    Hessenberg Schubert cell of w.  w must be a permutation, or ValueError
+    is raised."""
     if len(w) != len(h):
         raise ValueError(f"size mismatch: {len(w)} vs {len(h)}")
+    validate_perm(w)
     return len(inversion_set(w) & hessenberg_roots(h))
 
 

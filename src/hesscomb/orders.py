@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import AbstractSet
 
-from .perms import Perm, inversion_set, mask_members, prefix_listing
+from .perms import Perm, inversion_set, mask_members, prefix_listing, validate_perm
 
 KTuple = tuple[int, ...]
 
@@ -52,19 +52,24 @@ def bruhat_leq(w: Perm, v: Perm) -> bool:
     """Bruhat order via sorted prefixes: for every k < n the sorted first k
     values of w must be componentwise <= those of v.  A pair-by-pair reference
     with its own tests; verify and the interval route use bruhat_interval.
+    w and v must be permutations of one rank, or ValueError is raised.
 
     >>> bruhat_leq((2, 3, 1, 4), (2, 3, 4, 1))
     True
     """
     if len(w) != len(v):
         raise ValueError(f"size mismatch: {len(w)} vs {len(v)}")
+    validate_perm(w)
+    validate_perm(v)
     return all(
         x <= y for k in range(1, len(w)) for x, y in zip(sorted(w[:k]), sorted(v[:k]))
     )
 
 
 def weak_left_leq(u: Perm, v: Perm) -> bool:
-    """Weak left order: N(u) contained in N(v).  Implies Bruhat order."""
+    """Weak left order: N(u) contained in N(v).  Implies Bruhat order.  u
+    and v must be permutations of one rank; only the rank is checked, since
+    the sweeps call this in their inner loops."""
     if len(u) != len(v):
         raise ValueError(f"size mismatch: {len(u)} vs {len(v)}")
     return inversion_set(u) <= inversion_set(v)

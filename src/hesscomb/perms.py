@@ -4,10 +4,10 @@ Permutations of [n] = {1, ..., n} in one-line notation.
 A permutation w is the tuple (w(1), ..., w(n)) of values 1..n.  Roots of the
 type A root system are ordered pairs (i, j) with i != j, standing for
 t_i - t_j; a root is positive exactly when i < j.  All indices are 1-based.
-A set of values is often held as a bitmask, bit v for value v; mask_values
-lists the members of every such mask once per rank, for the loops that
-visit most masks of a rank, mask_members lists those of one mask, and
-image_family moves a family of prefix masks through a permutation.
+A set of values is often held as a bitmask, bit v for value v.
+mask_members lists a mask's members and is memoised on the mask; every loop
+of the package that reads a mask's members reads them there.  image_family
+moves a family of prefix masks through a permutation.
 prefix_listing grows the permutations with given prefix sets, in
 lexicographic order, and prefix_listing_json grows that listing straight
 into its JSON text: one growth builds both kinds of row, from per-value
@@ -73,7 +73,9 @@ def front_cycle(n: int, k: int) -> Perm:
 
 
 def compose(a: Perm, b: Perm) -> Perm:
-    """The product a b, acting as x -> a(b(x)).
+    """The product a b, acting as x -> a(b(x)).  a and b must be
+    permutations of one rank; only the rank is checked, since the sweeps
+    call this in their inner loops.
 
     >>> compose((2, 1, 3, 4), (1, 3, 2, 4))
     (2, 3, 1, 4)
@@ -84,7 +86,8 @@ def compose(a: Perm, b: Perm) -> Perm:
 
 
 def inverse(w: Perm) -> Perm:
-    """The inverse permutation.
+    """The inverse permutation.  w must be a permutation and is not
+    checked, since the sweeps call this in their inner loops.
 
     >>> inverse((2, 3, 1, 4))
     (3, 1, 2, 4)
@@ -114,7 +117,8 @@ def positive_roots(n: int) -> frozenset[Root]:
 @lru_cache(maxsize=None)
 def inversion_set(w: Perm) -> frozenset[Root]:
     """The positive roots (i, j), i < j, with w(i) > w(j); exactly the
-    positive roots that w sends to negative ones.
+    positive roots that w sends to negative ones.  w must be a permutation
+    and is not checked, since the sweeps call this in their inner loops.
 
     >>> sorted(inversion_set((2, 3, 1, 4)))
     [(1, 3), (2, 3)]
@@ -132,7 +136,9 @@ def length(w: Perm) -> int:
     """The number of inversions of w, counted on a mask of the values seen
     so far: each value x is inverted with the larger values before it.  It
     reads no inversion set, so the complement-involution check compares a
-    length and an inversion set computed independently.
+    length and an inversion set computed independently.  w must be a
+    permutation and is not checked, since the sweeps call this in their
+    inner loops.
 
     >>> length((2, 3, 1, 4))
     2
@@ -154,23 +160,12 @@ def all_perms(n: int) -> tuple[Perm, ...]:
 
 
 @lru_cache(maxsize=None)
-def mask_values(n: int) -> tuple[tuple[int, ...], ...]:
-    """Entry mask, for every mask of bits 0..n, is the increasing tuple of
-    the values v >= 1 whose bit v is set; bit 0 stands for no value.
-
-    >>> mask_values(3)[0b1010]
-    (1, 3)
-    """
-    table: list[tuple[int, ...]] = [(), ()]
-    for v in range(1, n + 1):
-        table += [t + (v,) for t in table]
-    return tuple(table)
-
-
 def mask_members(mask: int) -> tuple[int, ...]:
     """The increasing tuple of the values v whose bit v is set, read off the
-    set bits one by one, so the cost follows the members and not the width:
-    mask_values(n)[mask] for a mask of bits 1..n, without its table.
+    set bits one by one, so the cost follows the members and not the width.
+    It is the package's one member table, cached on the mask: masks of
+    bits 1..n number 2^n, so the cache holds at most 2^n entries for the
+    largest rank n a caller uses, and only the masks actually read.
 
     >>> mask_members(0b1010)
     (1, 3)
@@ -197,9 +192,8 @@ def image_family(family: Sequence[Iterable[int]], w: Perm) -> list[set[int]]:
     bit = [0] + [1 << v for v in w]  # bit[x] stands for the value w(x)
     if sum(bit) != (1 << n + 1) - 2:  # n powers of two fill bits 1..n only when distinct
         raise ValueError(f"not a permutation of 1..{n}: {list(w)}")
-    values = mask_values(n)
     at = bit.__getitem__
-    return [{sum(map(at, values[mask])) for mask in level} for level in family]
+    return [{sum(map(at, mask_members(mask))) for mask in level} for level in family]
 
 
 def _grow(allowed: Sequence[Iterable[int]], first: Sequence, rest: Sequence, end) -> list:
@@ -210,11 +204,10 @@ def _grow(allowed: Sequence[Iterable[int]], first: Sequence, rest: Sequence, end
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     full = (1 << n + 1) - 2
-    values = mask_values(n)
     suffixes = {full: [end]} if full in allowed[-1] else {}
     for k in range(n - 1, -1, -1):
         atoms = rest if k else first
-        suffixes = {mask: [atoms[v] + s for v in values[full & ~mask]
+        suffixes = {mask: [atoms[v] + s for v in mask_members(full & ~mask)
                            for s in suffixes.get(mask | 1 << v, ())]
                     for mask in (allowed[k - 1] if k else (0,))}
     return suffixes.get(0, [])

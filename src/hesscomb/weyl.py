@@ -65,6 +65,7 @@ from .perms import (
     Root,
     inverse,
     inversion_set,
+    mask_members,
     prefix_listing,
     validate_perm,
 )
@@ -112,9 +113,8 @@ class WeylSubset:
 
     def arcs(self) -> frozenset[tuple[int, int]]:
         """All directed pairs (tail, head)."""
-        before = self.before
         return frozenset(
-            (u, v) for v, into in enumerate(before) for u in range(len(before)) if into >> u & 1
+            (u, v) for v, into in enumerate(self.before) for u in mask_members(into)
         )
 
 
@@ -124,11 +124,9 @@ def _ready(before: Sequence[int], placed: int = 0, among: Optional[int] = None) 
     the successors of v, so the peels pass among = S.after[v]."""
     ready = 0
     among = (1 << len(before)) - 2 if among is None else among
-    while among:
-        bit = among & -among
-        among ^= bit
-        if not before[bit.bit_length() - 1] & ~placed:
-            ready |= bit
+    for v in mask_members(among):
+        if not before[v] & ~placed:
+            ready |= 1 << v
     return ready
 
 
@@ -183,19 +181,16 @@ def _closure_violation(
     as a root of S, and selected is _selected_masks(h).  Each side is tested
     a vertex at a time: the roots (b, d) reached through a's roots (a, b)
     may not select an (a, d) that the side lacks.  The first violation in
-    (side, a, b, d) order is returned.  The bits of a's roots are walked
-    one by one, so the cost is linear in the roots at any rank."""
+    (side, a, b, d) order is returned.  a's roots are read off their set
+    bits by mask_members, so the cost is linear in the roots at any rank."""
     for side, out in (("subset", inside), ("complement", list(map(xor, selected, inside)))):
         for a, roots in enumerate(out):
             lacking = selected[a] & ~roots
             if lacking:
-                while roots:
-                    low = roots & -roots
-                    roots ^= low
-                    b = low.bit_length() - 1
+                for b in mask_members(roots):
                     missing = out[b] & lacking
                     if missing:
-                        return ((a, b), (b, (missing & -missing).bit_length() - 1), side)
+                        return ((a, b), (b, mask_members(missing)[0]), side)
     return None
 
 
@@ -411,14 +406,11 @@ def _ideal_counts(S: WeylSubset) -> list[dict[int, int]]:
     for _ in range(S.n):
         grown: dict[int, int] = {}
         for ideal, count in ideals[-1].items():
-            left = ready[ideal]
-            while left:
-                bit = left & -left
-                left ^= bit
-                if ideal | bit not in grown:
-                    ready[ideal | bit] = ready[ideal] ^ bit | _ready(
-                        before, ideal | bit, after[bit.bit_length() - 1])
-                grown[ideal | bit] = grown.get(ideal | bit, 0) + count
+            for v in mask_members(ready[ideal]):
+                larger = ideal | 1 << v
+                if larger not in grown:
+                    ready[larger] = ready[ideal] ^ 1 << v | _ready(before, larger, after[v])
+                grown[larger] = grown.get(larger, 0) + count
         ideals.append(grown)
     if not ideals[-1]:
         raise ValueError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
@@ -478,8 +470,10 @@ def induced_subset(S: WeylSubset, k: int) -> WeylSubset:
 
     The result is the Weyl-type subset of delete_vertex(S.h, k) whose
     orientation is the restriction of the orientation of S; meaningful for
-    the class induction when k is a source, but defined for any vertex.
+    the class induction when k is a source, but defined for any vertex.  A
+    root h does not select raises ValueError.
     """
+    _selected_only(S.roots, S.h)
     if not 1 <= k <= S.n:
         raise ValueError(f"vertex out of range: {k}")
     roots = frozenset(tuple(v - 1 if v > k else v for v in r) for r in S.roots if k not in r)

@@ -207,6 +207,32 @@ class TestFamilies:
             w = tuple(rng.sample(range(1, 8), 7))
             assert w in prefix_listing(reachability_family(w, h))
 
+    def test_single_member_answers_stay_small_at_large_rank(self):
+        # each answer at rank 24 has one member, so each reads a few masks;
+        # a member table over every mask of the width would take GBs
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+            from hesscomb.fixed_points import (
+                fixed_points_by_reachability, fixed_points_by_translation,
+                interval_family, reachability_family)
+            from hesscomb.orders import bruhat_interval
+            from hesscomb.perms import identity
+            from hesscomb.weyl import class_of, weyl_subset_of
+            e, h = identity(24), tuple(range(1, 25))
+            prefixes = [{(2 << k) - 2} for k in range(1, 25)]
+            print(reachability_family(e, h) == prefixes, interval_family(e, h) == prefixes,
+                  fixed_points_by_reachability(e, h) == {e},
+                  fixed_points_by_translation(e, h) == {e},
+                  class_of(weyl_subset_of(e, (24,) * 24)) == {e},
+                  bruhat_interval(e, e) == {e})
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == " ".join(["True"] * 6) + "\n"
+
     @pytest.mark.parametrize("route", [
         fixed_points_by_reachability, fixed_points_by_translation,
         reachability_family, interval_family,

@@ -5,12 +5,15 @@ import itertools
 import json
 import math
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import hesscomb
+from hesscomb.hessenberg import hessenberg_length
+from hesscomb.orders import bruhat_leq
 from hesscomb.perms import (
     all_perms,
     apply_to_root,
@@ -120,6 +123,19 @@ class TestGroupOperations:
     def test_validate_perm_rejects_empty(self):
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             validate_perm([])
+
+    # inverse, inversion_set, length, compose and weak_left_leq run in the
+    # sweeps' inner loops and document that they do not check w
+    @pytest.mark.parametrize("call, args, message", [
+        (bruhat_leq, ((1, 1), (2, 2)), "not a permutation of 1..2: [1, 1]"),
+        (bruhat_leq, ((1, 2), (2, 2)), "not a permutation of 1..2: [2, 2]"),
+        (bruhat_leq, ((2, 3, 1), (0, 1, 2)), "not a permutation of 1..3: [0, 1, 2]"),
+        (hessenberg_length, ((1, 1), (2, 2)), "not a permutation of 1..2: [1, 1]"),
+        (hessenberg_length, ((2, 3), (2, 2)), "not a permutation of 1..2: [2, 3]"),
+    ])
+    def test_non_permutations_are_rejected(self, call, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(*args)
 
     @given(same_size_perms(count=1))
     def test_inverse_involution(self, perms):

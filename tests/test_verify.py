@@ -17,7 +17,7 @@ from hesscomb.fixed_points import fixed_points_by_reachability, interval_family
 from hesscomb.hessenberg import enumerate_hessenberg, hessenberg_roots
 from hesscomb.oracles import _cover_closure
 from hesscomb.orders import _gale_table, bruhat_interval, bruhat_leq
-from hesscomb.perms import all_perms, identity, length, longest_element
+from hesscomb.perms import all_perms, identity, length, longest_element, mask_members
 from hesscomb.reach import reachable_masks, reachable_sets, sources
 from hesscomb.verify import GLOBAL_CHECKS, MAX_N, PER_H_CHECKS, lemma_names, run_suite
 from hesscomb.weyl import max_element
@@ -94,7 +94,7 @@ KEPT_CACHES = {
     "orders.bruhat_interval": "(lo, hi) permutations: hits across h",
     "perms.all_perms": "n: the rank",
     "perms.inversion_set": "w: a permutation, whatever the h",
-    "perms.mask_values": "n: the rank",
+    "perms.mask_members": "mask: at most 2^n for the largest rank n used",
 }
 
 
@@ -139,12 +139,17 @@ def test_gale_tables_stay_within_their_bound():
 
 def test_gale_tables_hit_on_rank_seven_queries():
     _gale_table.cache_clear()
+    mask_members.cache_clear()
     rng = random.Random(24)
     hs = list(enumerate_hessenberg(7))
     for _ in range(300):
         interval_family(tuple(rng.sample(range(1, 8), 7)), rng.choice(hs))
     info = _gale_table.cache_info()
     assert info.hits > info.misses
+    # the member lists hit too, and a mask of bits 1..7 is one of 2^7
+    members = mask_members.cache_info()
+    assert members.hits > members.misses
+    assert members.currsize <= 2**7
 
 
 def test_unit_caches_end_when_a_check_raises(monkeypatch):

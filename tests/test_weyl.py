@@ -21,7 +21,14 @@ from hesscomb.hessenberg import (
 from hesscomb.oracles import acyclic_orientations_by_enumeration, class_by_filter
 from hesscomb.orders import weak_left_leq
 from hesscomb.perms import all_perms, compose, identity, inversion_set, longest_element
-from hesscomb.reach import reachability_table, sources
+from hesscomb.reach import (
+    is_reachable,
+    largest_source,
+    reachability_table,
+    reachable_masks,
+    reachable_sets,
+    sources,
+)
 from hesscomb.weyl import (
     InvariantError,
     WeylSubset,
@@ -252,7 +259,13 @@ class TestOrientation:
         with pytest.raises(ValueError, match="directed cycle"):
             operation(cyclic)
 
-    @pytest.mark.parametrize("operation", [class_of, min_element, max_element, class_size])
+    @pytest.mark.parametrize("operation", [
+        class_of, min_element, max_element, class_size, reachability_table, reachable_masks,
+        sources, largest_source,
+        pytest.param(lambda S: is_reachable(1, 2, S), id="is_reachable"),
+        pytest.param(lambda S: reachable_sets(S, 1), id="reachable_sets"),
+        pytest.param(lambda S: induced_subset(S, 1), id="induced_subset"),
+    ])
     @pytest.mark.parametrize("roots, h, stray", [
         ({(1, 3)}, (2, 3, 3), (1, 3)),  # acyclic on the selected roots, which ignore it
         ({(1, 2), (2, 4)}, (2, 3, 3, 4), (2, 4)),
