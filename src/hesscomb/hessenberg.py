@@ -42,7 +42,9 @@ def validate_hessenberg(values: Iterable[int]) -> Hessenberg:
 
 @lru_cache(maxsize=None)
 def hessenberg_roots(h: Hessenberg) -> frozenset[Root]:
-    """The positive roots (i, j) with i < j <= h(i) selected by h."""
+    """The positive roots (i, j) with i < j <= h(i) selected by h.  Each cache
+    miss checks h, so a malformed h raises ValueError for every reader."""
+    validate_hessenberg(h)
     return frozenset(
         (i, j) for i in range(1, len(h) + 1) for j in range(i + 1, h[i - 1] + 1)
     )
@@ -50,8 +52,8 @@ def hessenberg_roots(h: Hessenberg) -> frozenset[Root]:
 
 def hessenberg_length(w: Perm, h: Hessenberg) -> int:
     """Number of inversions (i, j) of w with j <= h(i); the dimension of the
-    Hessenberg Schubert cell of w.  w must be a permutation, or ValueError
-    is raised."""
+    Hessenberg Schubert cell of w.  w must be a permutation and h a
+    Hessenberg function, or ValueError is raised."""
     if len(w) != len(h):
         raise ValueError(f"size mismatch: {len(w)} vs {len(h)}")
     validate_perm(w)
@@ -60,7 +62,9 @@ def hessenberg_length(w: Perm, h: Hessenberg) -> int:
 
 def total_dimension(h: Hessenberg) -> int:
     """Sum of h(i) - i, the dimension of the regular semisimple Hessenberg
-    variety; equals the number of selected roots and of graph edges."""
+    variety; equals the number of selected roots and of graph edges.  A
+    malformed h raises ValueError."""
+    validate_hessenberg(h)
     return sum(v - i for i, v in enumerate(h, start=1))
 
 
@@ -71,9 +75,10 @@ def delete_vertex(h: Hessenberg, k: int) -> Hessenberg:
     relabeled 1..n-1 in increasing original order.  Computed on the
     staircase diagram (box (i, j) present iff i <= h(j)) by removing row k
     and column k and reading off the new column heights; the graph of the
-    result is the vertex-deleted graph under the relabeling.
+    result is the vertex-deleted graph under the relabeling.  A malformed h
+    raises ValueError.
     """
-    n = len(h)
+    n = len(validate_hessenberg(h))
     if not 1 <= k <= n:
         raise ValueError(f"vertex out of range: {k}")
     if n == 1:

@@ -27,15 +27,13 @@ from functools import lru_cache
 from .hessenberg import Hessenberg
 from .orders import KTuple
 from .perms import Perm, mask_members
-from .weyl import WeylSubset, _selected_only, is_acyclic, weyl_subset_of
+from .weyl import WeylSubset, is_acyclic, weyl_subset_of
 
 
 @lru_cache(maxsize=None)
 def reachability_table(S: WeylSubset) -> tuple[int, ...]:
     """Per-vertex bitmasks of the vertices that reach it (bit u of entry v
-    for u reaching v; entry 0 is unused): the closure of the upward arcs.
-    A root h does not select raises ValueError."""
-    _selected_only(S.roots, S.h)
+    for u reaching v; entry 0 is unused): the closure of the upward arcs."""
     before = S.before
     table = [0] * (S.n + 1)
     for v in range(1, S.n + 1):
@@ -59,9 +57,7 @@ def is_reachable(j: int, i: int, S: WeylSubset) -> bool:
 
 def sources(S: WeylSubset) -> set[int]:
     """Vertices whose incident edges all point away (isolated vertices
-    included).  Rejects a root h does not select, and cyclic orientations,
-    which need not have one."""
-    _selected_only(S.roots, S.h)
+    included).  Rejects cyclic orientations, which need not have one."""
     if not is_acyclic(S):
         raise ValueError("orientation has a directed cycle")
     return {v for v in range(1, S.n + 1) if not S.before[v]}

@@ -17,8 +17,10 @@ lemma below).  Peels and reach read S.before: bit u of entry v marks u -> v;
 a peel keeps the ready vertices as a mask, and placing v tests only S.after[v].
 One criterion checks each extreme on the order of a maximum: its roots, and
 that values k and k + 1 at positions a < b make (a, b) a selected root; a
-minimum is checked as the maximum of R \\ S whose order it reverses.  An S
-built by hand with a root h does not select, or a cycle, is a ValueError.
+minimum is checked as the maximum of R \\ S whose order it reverses.  A
+WeylSubset with a root h does not select, or a malformed h, is a ValueError
+when it is built; one built by hand may have a cycle, which is a ValueError
+to each operation that needs a class.
 
 A listing of every class of h (list_classes) peels nothing and walks no
 order ideal, by three lemmas.  First, the order that enumerate_weyl_subsets
@@ -51,7 +53,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
-from operator import itemgetter, xor
+from operator import and_, itemgetter, xor
 from typing import Iterable, Optional, Sequence
 
 from .hessenberg import (
@@ -84,10 +86,19 @@ class WeylSubset:
     The edges of that graph are the roots (j, i), j < i, selected by h;
     those in `roots` point downward (i -> j) and every other edge points
     upward (j -> i).  Equality and hashing read `roots` and `h` only.
+
+    Any subset of those roots may be built, cyclic ones included; a root h
+    does not select, or an h that is not a Hessenberg function, raises
+    ValueError here.
     """
 
     roots: frozenset[Root]
     h: Hessenberg
+
+    def __post_init__(self) -> None:
+        stray = self.roots - hessenberg_roots(self.h)
+        if stray:
+            raise ValueError(f"root {min(stray)} is not selected by h = {list(self.h)}")
 
     @property
     def n(self) -> int:
@@ -166,14 +177,6 @@ def _selected_masks(h: Hessenberg) -> list[int]:
     return [0] + [(2 << h[a - 1]) - (2 << a) for a in range(1, len(h) + 1)]
 
 
-def _root_masks(roots: Iterable[Root], n: int) -> list[int]:
-    """roots as out-masks: bit c of entry a marks (a, c) (entry 0 is unused)."""
-    inside = [0] * (n + 1)
-    for a, c in roots:
-        inside[a] |= 1 << c
-    return inside
-
-
 def _closure_violation(
     inside: Sequence[int], selected: list[int]
 ) -> Optional[tuple[Root, Root, str]]:
@@ -194,13 +197,12 @@ def _closure_violation(
     return None
 
 
-def _selected_only(roots: Iterable[Root], h: Hessenberg) -> frozenset[Root]:
-    """roots as a frozenset, raising ValueError for a root h does not select."""
-    subset = frozenset(roots)
-    stray = subset - hessenberg_roots(h)
-    if stray:
-        raise ValueError(f"root {min(stray)} is not selected by h = {list(h)}")
-    return subset
+def _violation(S: WeylSubset) -> Optional[tuple[Root, Root, str]]:
+    """find_closure_violation for a built S, its roots read as out-masks."""
+    inside = [0] * (S.n + 1)
+    for a, c in S.roots:
+        inside[a] |= 1 << c
+    return _closure_violation(inside, _selected_masks(S.h))
 
 
 def find_closure_violation(
@@ -209,10 +211,11 @@ def find_closure_violation(
     """Locate a failed root-addition closure, or None when S has Weyl type.
 
     Returns (a, b, side) where a + b lands in the selected roots but outside
-    `side` ("subset" or "complement").  Roots outside the selected set are
-    rejected outright.
+    `side` ("subset" or "complement").  Roots outside the selected set, and
+    an h that is not a Hessenberg function, raise ValueError as WeylSubset
+    does.
     """
-    return _closure_violation(_root_masks(_selected_only(roots, h), len(h)), _selected_masks(h))
+    return _violation(WeylSubset(frozenset(roots), h))
 
 
 def is_weyl_type(roots: Iterable[Root], h: Hessenberg) -> bool:
@@ -224,26 +227,26 @@ def is_weyl_type(roots: Iterable[Root], h: Hessenberg) -> bool:
 
 def make_weyl_subset(roots: Iterable[Root], h: Hessenberg) -> WeylSubset:
     """Build a WeylSubset, raising with a closure diagnostic when invalid."""
-    h = validate_hessenberg(h)
-    violation = find_closure_violation(roots, h)
+    S = WeylSubset(frozenset(roots), h)
+    violation = _violation(S)
     if violation is not None:
         (a, b), (c, d), side = violation
         raise ValueError(
             f"{side} not closed under root addition: "
             f"({a},{b}) + ({c},{d}) = ({a},{d}) is selected by h but missing"
         )
-    return WeylSubset(roots=frozenset(roots), h=h)
+    return S
 
 
 @lru_cache(maxsize=None)
 def weyl_subset_of(w: Perm, h: Hessenberg) -> WeylSubset:
     """The Weyl-type subset N(w) & (roots selected by h) of a permutation w."""
     validate_perm(w)
-    h = validate_hessenberg(h)
+    selected = hessenberg_roots(h)
     if len(w) != len(h):
         raise ValueError(f"size mismatch: {len(w)} vs {len(h)}")
-    S = WeylSubset(roots=inversion_set(w) & hessenberg_roots(h), h=h)
-    if not is_weyl_type(S.roots, S.h):
+    S = WeylSubset(roots=inversion_set(w) & selected, h=h)
+    if _violation(S) is not None:
         raise InvariantError(f"N({list(w)}) & roots of h = {list(h)} is not of Weyl type")
     return S
 
@@ -348,10 +351,9 @@ def max_element(S: WeylSubset) -> Perm:
 
     The k-th vertex peeled from the orientation of S, always the largest
     source of what is left, takes the value k.  An acyclic orientation
-    always has a source, so the peel completes.  A root h does not select,
-    or a directed cycle, raises ValueError.
+    always has a source, so the peel completes.  A directed cycle raises
+    ValueError.
     """
-    _selected_only(S.roots, S.h)
     order = _peel(S.before, S.after)
     if len(order) != S.n:
         raise ValueError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
@@ -383,23 +385,20 @@ def min_element(S: WeylSubset) -> Perm:
     """The weak-order minimum of class_of(S), w0 max_element(R \\ S): R \\ S
     reverses every arc of S, so the peel with S's masks swapped is the order
     of that maximum, checked against the roots of R \\ S; read backwards, it
-    is the order of the minimum.  A root h does not select, or a directed
-    cycle, raises ValueError."""
-    roots = _selected_only(S.roots, S.h)
+    is the order of the minimum; R \\ S has out-masks S.after & selected.
+    A directed cycle raises ValueError."""
     order = _peel(S.after, S.before)
     if len(order) != S.n:
         raise ValueError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
     selected = _selected_masks(S.h)
-    _checked_maximum(order, list(map(xor, selected, _root_masks(roots, S.n))), selected)
+    _checked_maximum(order, list(map(and_, S.after, selected)), selected)
     return inverse(order[::-1])
 
 
 def _ideal_counts(S: WeylSubset) -> list[dict[int, int]]:
     """For each size k, the order ideals with k vertices of the orientation
     of S, each with its number of topological orders; size k + 1 adds one
-    source of what is left.  A root h does not select, or a directed cycle,
-    raises ValueError."""
-    _selected_only(S.roots, S.h)
+    source of what is left.  A directed cycle raises ValueError."""
     before, after = S.before, S.after
     ideals = [{0: 1}]
     ready = {0: _ready(before)}  # each ideal's sources, as a mask
@@ -470,14 +469,12 @@ def induced_subset(S: WeylSubset, k: int) -> WeylSubset:
 
     The result is the Weyl-type subset of delete_vertex(S.h, k) whose
     orientation is the restriction of the orientation of S; meaningful for
-    the class induction when k is a source, but defined for any vertex.  A
-    root h does not select raises ValueError.
+    the class induction when k is a source, but defined for any vertex.
     """
-    _selected_only(S.roots, S.h)
     if not 1 <= k <= S.n:
         raise ValueError(f"vertex out of range: {k}")
     roots = frozenset(tuple(v - 1 if v > k else v for v in r) for r in S.roots if k not in r)
     out = WeylSubset(roots=roots, h=delete_vertex(S.h, k))
-    if not is_weyl_type(out.roots, out.h):
+    if _violation(out) is not None:
         raise InvariantError(f"S with vertex {k} deleted is not of Weyl type")
     return out

@@ -1,9 +1,11 @@
 """Hessenberg functions, their root sets, graphs, and vertex deletion."""
 
 import math
+import re
 
 import pytest
 
+import hesscomb as hc
 from hesscomb.hessenberg import (
     delete_vertex,
     enumerate_hessenberg,
@@ -37,6 +39,35 @@ class TestValidate:
             validate_hessenberg((4, 4, 4))
         with pytest.raises(ValueError, match="empty"):
             validate_hessenberg(())
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda h: hc.hessenberg_roots(h), id="hessenberg_roots"),
+        pytest.param(lambda h: hc.hessenberg_length(identity(len(h)), h), id="hessenberg_length"),
+        pytest.param(lambda h: hc.total_dimension(h), id="total_dimension"),
+        pytest.param(lambda h: hc.delete_vertex(h, 1), id="delete_vertex"),
+        pytest.param(lambda h: hc.weyl_subset_of(identity(len(h)), h), id="weyl_subset_of"),
+        pytest.param(lambda h: hc.enumerate_weyl_subsets(h), id="enumerate_weyl_subsets"),
+        pytest.param(lambda h: hc.list_classes(h), id="list_classes"),
+        pytest.param(lambda h: hc.make_weyl_subset((), h), id="make_weyl_subset"),
+        pytest.param(lambda h: hc.is_weyl_type((), h), id="is_weyl_type"),
+        pytest.param(lambda h: hc.WeylSubset(frozenset(), h), id="WeylSubset"),
+        pytest.param(lambda h: hc.reachable_tuples(identity(len(h)), h, 1), id="reachable_tuples"),
+        pytest.param(lambda h: hc.fixed_points_by_reachability(identity(len(h)), h),
+                     id="fixed_points_by_reachability"),
+        pytest.param(lambda h: hc.fixed_points_by_translation(identity(len(h)), h),
+                     id="fixed_points_by_translation"),
+        pytest.param(lambda h: hc.reachability_family(identity(len(h)), h),
+                     id="reachability_family"),
+        pytest.param(lambda h: hc.interval_family(identity(len(h)), h), id="interval_family"),
+        pytest.param(lambda h: hc.dimension_report(identity(len(h)), h), id="dimension_report"),
+    ])
+    @pytest.mark.parametrize("h", [(3, 2, 3), (2, 3, 4), (2, 1), (0, 2)])
+    def test_every_entry_rejects_a_malformed_h(self, call, h):
+        # each public function that takes an h or a subset reports h itself
+        with pytest.raises(ValueError) as diagnostic:
+            validate_hessenberg(h)
+        with pytest.raises(ValueError, match=re.escape(str(diagnostic.value))):
+            call(h)
 
 
 class TestRoots:

@@ -88,7 +88,8 @@ def test_full_suite_passes_at_rank_five(capsys, monkeypatch):
 # Any other cache is keyed on h and must be in verify.UNIT_CACHES.
 KEPT_CACHES = {
     "cli.build_parser": "no key: one parser per process",
-    "hessenberg.hessenberg_roots": "h: one small frozenset per h, read by every class operation",
+    "hessenberg.hessenberg_roots": "h: one small frozenset per h, whose miss checks h; read "
+                                   "by every class operation and every WeylSubset built",
     "oracles._cover_closure": "n: the rank",
     "orders._gale_table": "(low, high) prefix masks: at most C(2n, n) per rank",
     "orders.bruhat_interval": "(lo, hi) permutations: hits across h",
