@@ -37,7 +37,7 @@ from typing import Optional
 from .fixed_points import interval_family, reachability_family
 from .hessenberg import Hessenberg, hessenberg_roots, validate_hessenberg
 from .perms import Perm, prefix_listing_json, validate_perm
-from .verify import MAX_N, lemma_names, run_suite
+from .verify import MAX_N, UNIT_CACHES, lemma_names, run_suite
 from .weyl import WeylSubset, list_classes, make_weyl_subset, max_element
 
 
@@ -314,10 +314,15 @@ def _write_stdout(text: str) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
-    text, code = args.run(args, args.parser)
+    try:
+        args = _plain_args(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
+        text, code = args.run(args, args.parser)
+    finally:
+        # a command is a unit of work, as one h is in a sweep, usage errors included
+        for cache in UNIT_CACHES:
+            cache.cache_clear()
     if args.output is None:
         try:
             _write_stdout(text)

@@ -29,7 +29,9 @@ KTuple = tuple[int, ...]
 
 
 def sort_action(w: Perm, t: KTuple) -> KTuple:
-    """Apply w to the entries of t and re-sort increasingly.
+    """Apply w to the entries of t and re-sort increasingly.  w must be a
+    permutation and is not checked, since the sweeps call this in their
+    inner loops.
 
     >>> sort_action((2, 3, 1, 4), (1, 2))
     (2, 3)
@@ -93,26 +95,23 @@ def bruhat_family(lo: Perm, hi: Perm) -> list[AbstractSet[int]]:
     """The prefix sets of [lo, hi]: for each k, the k-sets (bit v for value v)
     whose sorted values lie componentwise between the sorted first k values
     of lo and of hi; image_family(bruhat_family(lo, hi), w) is the family of
-    w [lo, hi].  The endpoints must be permutations of one rank, or
-    ValueError is raised before any table is read.
+    w [lo, hi].  The endpoints must be permutations of one rank: their
+    sizes, and then validate_perm on lo and on hi, raise ValueError before
+    any table is read.
 
     >>> [sorted(level) for level in bruhat_family((2, 1, 3), (3, 1, 2))]
     [[4, 8], [6, 10], [14]]
     """
-    n = len(lo)
-    if len(hi) != n:
-        raise ValueError(f"size mismatch: {n} vs {len(hi)}")
-    keys, low, high = [], 0, 0
+    if len(hi) != len(lo):
+        raise ValueError(f"size mismatch: {len(lo)} vs {len(hi)}")
+    validate_perm(lo)
+    validate_perm(hi)
+    family, low, high = [], 0, 0
     for x, y in zip(lo, hi):
         low |= 1 << x
         high |= 1 << y
-        keys.append((low, high))
-    full = (1 << n + 1) - 2
-    # n values fill the n bits of full only when they are 1..n, each once
-    for w, mask in ((lo, low), (hi, high)):
-        if mask != full:
-            raise ValueError(f"not a permutation of 1..{n}: {list(w)}")
-    return [_gale_table(*key) for key in keys]
+        family.append(_gale_table(low, high))
+    return family
 
 
 @lru_cache(maxsize=None)

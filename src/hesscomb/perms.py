@@ -99,7 +99,8 @@ def inverse(w: Perm) -> Perm:
 
 
 def apply_to_root(w: Perm, r: Root) -> Root:
-    """w sends t_i - t_j to t_{w(i)} - t_{w(j)}."""
+    """w sends t_i - t_j to t_{w(i)} - t_{w(j)}.  w must be a permutation
+    and is not checked, since the sweeps call this in their inner loops."""
     i, j = r
     return (w[i - 1], w[j - 1])
 
@@ -181,18 +182,16 @@ def mask_members(mask: int) -> tuple[int, ...]:
 def image_family(family: Sequence[Iterable[int]], w: Perm) -> list[set[int]]:
     """The family moved through w: bit x of every mask becomes bit w(x), so
     its prefix listing is w times each permutation the family lists.  w must
-    be a permutation of 1..len(family), or ValueError is raised first.
+    be a permutation of 1..len(family): its size, and then validate_perm,
+    raise ValueError before any level is read.
 
     >>> image_family([{0b10}, {0b110}], (2, 1))  # the listing [(1, 2)] becomes [(2, 1)]
     [{4}, {6}]
     """
-    n = len(family)
-    if len(w) != n:
-        raise ValueError(f"size mismatch: {n} vs {len(w)}")
-    bit = [0] + [1 << v for v in w]  # bit[x] stands for the value w(x)
-    if sum(bit) != (1 << n + 1) - 2:  # n powers of two fill bits 1..n only when distinct
-        raise ValueError(f"not a permutation of 1..{n}: {list(w)}")
-    at = bit.__getitem__
+    if len(w) != len(family):
+        raise ValueError(f"size mismatch: {len(family)} vs {len(w)}")
+    validate_perm(w)
+    at = ([0] + [1 << v for v in w]).__getitem__  # at(x) stands for the value w(x)
     return [{sum(map(at, mask_members(mask))) for mask in level} for level in family]
 
 

@@ -8,7 +8,9 @@ sequence j = v0 < v1 < ... < vm = i follows oriented edges (m = 0 allowed,
 so every vertex reaches itself).  Only edges oriented from smaller to
 larger vertex can appear on such a path, so the relation is the transitive
 closure of the upward arcs, built once per subset on S.before and in its
-layout: bit u of entry v is set when u reaches v.
+layout: bit u of entry v is set when u reaches v.  Reachability is defined
+for any orientation, cyclic ones included, so nothing here checks S for
+Weyl type; only sources, which needs a source, rejects a cycle.
 
 A k-set T is reachable from {1, ..., k} when its members can be paired
 with 1, ..., k, each reachable from its partner.  By the pairing induction,
@@ -33,7 +35,8 @@ from .weyl import WeylSubset, is_acyclic, weyl_subset_of
 @lru_cache(maxsize=None)
 def reachability_table(S: WeylSubset) -> tuple[int, ...]:
     """Per-vertex bitmasks of the vertices that reach it (bit u of entry v
-    for u reaching v; entry 0 is unused): the closure of the upward arcs."""
+    for u reaching v; entry 0 is unused): the closure of the upward arcs.
+    Defined for any orientation."""
     before = S.before
     table = [0] * (S.n + 1)
     for v in range(1, S.n + 1):
@@ -47,7 +50,7 @@ def is_reachable(j: int, i: int, S: WeylSubset) -> bool:
     """True when an increasing oriented path runs from j to i.
 
     Every vertex reaches itself; for j > i the relation is empty, so the
-    answer is False.
+    answer is False.  Defined for any orientation.
     """
     n = S.n
     if not (1 <= j <= n and 1 <= i <= n):
@@ -75,6 +78,7 @@ def reachable_masks(S: WeylSubset) -> tuple[frozenset[int], ...]:
 
     Level k adds to each reachable (k - 1)-set a vertex t outside it that k
     reaches: by the pairing induction these are exactly the reachable k-sets.
+    Defined for any orientation; the reachable sets are cached here alone.
     """
     table = reachability_table(S)
     level = frozenset({0})
@@ -86,17 +90,11 @@ def reachable_masks(S: WeylSubset) -> tuple[frozenset[int], ...]:
     return tuple(levels)
 
 
-@lru_cache(maxsize=None)
 def reachable_sets(S: WeylSubset, k: int) -> tuple[KTuple, ...]:
     """The increasing k-tuples whose underlying set is reachable from
-    {1, ..., k} in the orientation S, in lexicographic order.
-
-    A k-set T is reachable from {1, ..., k} when some bijection pairs every
-    b <= k with an a in T reachable from b.  T is reachable exactly when k
-    reaches some t in T and T \\ {t} is reachable from {1, ..., k - 1}: the
-    partner of k is such a t, and the rest of the pairing pairs T \\ {t} with
-    {1, ..., k - 1}; conversely such a pairing extends by k -> t.  The sets
-    are read off reachable_masks(S), which applies this once per level.
+    {1, ..., k} in the orientation S, in lexicographic order.  Defined for
+    any orientation.  Only the masks are cached: each call lists and sorts
+    the members of level k of reachable_masks(S).
     """
     if not 1 <= k <= S.n - 1:
         raise ValueError(f"k out of range: {k}")

@@ -11,9 +11,11 @@ rank-global check, or one Hessenberg function h with every requested per-h
 check run on it in name order, so the checks on one h share the caches of
 the fixed point sets and reachable sets of its classes.  No key of those
 caches recurs on another h, so they end with their unit: UNIT_CACHES lists
-them, and each per-h unit clears them when it ends.  Sweeps parallelize
-over a process pool, and the results are put back in (check, h) order, so
-the aggregation is deterministic and independent of the job count.
+them, and each per-h unit clears them when it ends.  A CLI command is a
+unit of work too, and cli.main clears them when it ends.  Sweeps
+parallelize over a process pool, and the results are put back in
+(check, h) order, so the aggregation is deterministic and independent of
+the job count.
 
 Verdict protocol: a check is a generator over one rank n (registered with
 per_h=False) or one Hessenberg function h of rank n.  It yields one
@@ -31,7 +33,6 @@ import os
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
-from . import reach
 from .fixed_points import (
     fixed_points_by_interval,
     fixed_points_by_reachability,
@@ -63,7 +64,7 @@ from .perms import (
     longest_element,
     positive_roots,
 )
-from .reach import is_reachable, largest_source, reachable_tuples, sources
+from .reach import is_reachable, largest_source, reachability_table, reachable_masks, sources
 from .weyl import (
     WeylSubset,
     class_of,
@@ -78,12 +79,12 @@ from .weyl import (
 MAX_N = 6
 
 # The caches keyed on h: on h itself, on a Weyl-type subset of its roots
-# (and a k) or on a pair (w, h).  Bound at import, so that they stay
-# clearable when the module's names are rebound.
+# or on a pair (w, h).  Each per-h unit and each CLI command clears them
+# when it ends.  Bound at import, so that they stay clearable when the
+# module's names are rebound.
 UNIT_CACHES = (
     weyl_subset_of, enumerate_weyl_subsets, max_element, class_of,
-    reach.reachability_table, reach.reachable_masks, reach.reachable_sets,
-    fixed_points_by_reachability,
+    reachability_table, reachable_masks, fixed_points_by_reachability,
 )
 
 Failure = dict
@@ -342,13 +343,13 @@ def _j_set_formula(n: int, h: Hessenberg) -> Verdicts:
         cls = class_of(S)
         for k in range(1, n):
             base = sort_action(m, tuple(range(1, k + 1)))
-            formula = tuple(
-                t
+            formula = frozenset(
+                sum(1 << x for x in t)
                 for t in combinations(range(1, n + 1), k)
                 if ktuple_leq(base, sort_action(m, t))
             )
             for w in cls:
-                yield S, reachable_tuples(w, h, k) == formula
+                yield S, reachable_masks(weyl_subset_of(w, h))[k] == formula
 
 
 @_check("main-theorem")

@@ -23,8 +23,9 @@ when it is built; one built by hand may have a cycle, which is a ValueError
 to each operation that needs a class.
 
 A listing of every class of h (list_classes) peels nothing and walks no
-order ideal, by three lemmas.  First, the order that enumerate_weyl_subsets
-grows for S is its largest-source peel, so its inverse is the class
+order ideal, by three lemmas.  First, the order that the listing grows for
+S is its largest-source peel (vertex c, the largest label so far, enters
+first or just after its last predecessor), so its inverse is the class
 maximum.  Second, w -> w0 w maps class(S) onto class(R \\ S) and reverses
 weak order, since N(w0 w) is the complement of N(w); so the class minimum
 of S is w0 times the class maximum of R \\ S, and the two classes have the
@@ -220,7 +221,8 @@ def find_closure_violation(
 
 def is_weyl_type(roots: Iterable[Root], h: Hessenberg) -> bool:
     """True when both roots and its complement in the selected roots are
-    closed under root addition.  Roots outside the selected set are errors,
+    closed under root addition.  The roots may be any subset of the selected
+    ones, cyclic ones included; roots outside the selected set are errors,
     not False."""
     return find_closure_violation(roots, h) is None
 
@@ -322,26 +324,15 @@ def _grow(h: Hessenberg) -> list[tuple[tuple[Root, ...], Perm, tuple[int, ...], 
 
 @lru_cache(maxsize=None)
 def enumerate_weyl_subsets(h: Hessenberg) -> tuple[WeylSubset, ...]:
-    """All Weyl-type subsets for h, ordered by their sorted root lists, as
-    N(w) & (selected roots) for one topological order w^{-1} of each
-    acyclic orientation (see _grow).
-
-    Three lemmas let list_classes read each class off these orders:
-    - the grown order is the largest-source peel, so w is max_element(S):
-      vertex c is the largest label so far, and it enters first or just
-      after an earlier neighbour, which is then its last predecessor;
-    - w -> w0 w maps class(S) onto class(R \\ S) and reverses weak order,
-      since N(w0 w) is the complement of N(w); so min_element(S) is
-      w0 max_element(R \\ S), and the two classes have the same size;
-    - the insertion counts the topological orders of S per gap profile
-      (see the module docstring), so class_size(S) comes with the order.
-    """
-    h = validate_hessenberg(h)
-    return tuple(WeylSubset(roots=frozenset(image), h=h) for image, *_ in _grow(h))
+    """All Weyl-type subsets for h, ordered by their sorted root lists: the
+    subsets of list_classes(h), so each has passed that listing's checks."""
+    return tuple(WeylSubset(roots=frozenset(image), h=h) for image, *_ in list_classes(h))
 
 
 def complement(S: WeylSubset) -> WeylSubset:
-    """The complementary Weyl-type subset inside the selected roots."""
+    """The complementary Weyl-type subset inside the selected roots.  A
+    cyclic S is not checked: its complement reverses every arc, so it is
+    cyclic too."""
     return WeylSubset(roots=hessenberg_roots(S.h) - S.roots, h=S.h)
 
 
@@ -427,7 +418,7 @@ def class_size(S: WeylSubset) -> int:
 
 def list_classes(h: Hessenberg) -> list[tuple[tuple[Root, ...], int, Perm, Perm]]:
     """(sorted roots of S, class_size(S), max_element(S), min_element(S)) for
-    each Weyl-type subset S of h, in enumerate_weyl_subsets order, read off
+    each Weyl-type subset S of h, sorted by its roots, read off
     the growth (see the module docstring for the three lemmas): each maximum
     is its grown order inverted, each minimum w0 times the maximum of the
     complement, found by its masks, and each size is the growth's count.
@@ -470,11 +461,15 @@ def induced_subset(S: WeylSubset, k: int) -> WeylSubset:
     The result is the Weyl-type subset of delete_vertex(S.h, k) whose
     orientation is the restriction of the orientation of S; meaningful for
     the class induction when k is a source, but defined for any vertex.
+    A cyclic S is not checked: it raises ValueError only when a directed
+    cycle survives the deletion.
     """
     if not 1 <= k <= S.n:
         raise ValueError(f"vertex out of range: {k}")
     roots = frozenset(tuple(v - 1 if v > k else v for v in r) for r in S.roots if k not in r)
     out = WeylSubset(roots=roots, h=delete_vertex(S.h, k))
     if _violation(out) is not None:
+        if not is_acyclic(S):
+            raise ValueError(f"the orientation of S = {sorted(S.roots)} has a directed cycle")
         raise InvariantError(f"S with vertex {k} deleted is not of Weyl type")
     return out

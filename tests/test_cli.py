@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hesscomb import cli, weyl
+from hesscomb import cli, verify, weyl
 from hesscomb.cli import main
 from hesscomb.fixed_points import (
     fixed_points_by_reachability,
@@ -736,6 +736,38 @@ def test_agreeing_path_grows_no_tuple_listing(capsys, monkeypatch):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGEST_RANK_7_CHL
+
+
+def _unit_cache_sizes() -> dict:
+    return {cache.__name__: cache.cache_info().currsize for cache in verify.UNIT_CACHES}
+
+
+def test_a_long_run_of_distinct_queries_keeps_no_class(capsys):
+    # a command is a unit of work, so each one empties the per-h caches when
+    # it ends, and a caller running many commands keeps none of their classes
+    rng = random.Random(30)
+    hs = [",".join(map(str, h)) for h in enumerate_hessenberg(7)]
+    queries = {}
+    while len(queries) < 2000:
+        queries[rng.choice(hs), ",".join(map(str, rng.sample(range(1, 8), 7)))] = None
+    for h, w in queries:
+        assert main(["fixed-points", "--h", h, "--w", w, "--method", "both"]) == 0
+        capsys.readouterr()
+    assert main(["weyl-subsets", "--h", "3,4,5,6,7,7,7"]) == 0
+    assert _unit_cache_sizes() == dict.fromkeys(_unit_cache_sizes(), 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixed-points", "--h", "3,2,4,4", "--w", "2,3,1,4"],  # refused while parsing
+    ["fixed-points", "--h", "3,4,4,4", "--w", "2,3,1"],  # refused by the command
+])
+def test_a_usage_error_ends_the_unit_too(argv, capsys):
+    assert reachability_family((2, 3, 1, 4), (3, 4, 4, 4))  # a library caller fills them
+    assert any(_unit_cache_sizes().values())
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "error:" in err
+    assert _unit_cache_sizes() == dict.fromkeys(_unit_cache_sizes(), 0)
 
 
 class TestOutputPlumbing:

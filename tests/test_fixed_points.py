@@ -83,7 +83,7 @@ class TestReachabilityRoute:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         fixed_points_by_reachability.cache_clear()
-        hesscomb.reach.reachable_sets.cache_clear()
+        hesscomb.reach.reachable_masks.cache_clear()
         for h in enumerate_hessenberg(4):
             for w in all_perms(4):
                 fixed_points_by_reachability(w, h)

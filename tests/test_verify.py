@@ -18,7 +18,7 @@ from hesscomb.hessenberg import enumerate_hessenberg, hessenberg_roots
 from hesscomb.oracles import _cover_closure
 from hesscomb.orders import _gale_table, bruhat_interval, bruhat_leq
 from hesscomb.perms import all_perms, identity, length, longest_element, mask_members
-from hesscomb.reach import reachable_masks, reachable_sets, sources
+from hesscomb.reach import reachable_masks, sources
 from hesscomb.verify import GLOBAL_CHECKS, MAX_N, PER_H_CHECKS, lemma_names, run_suite
 from hesscomb.weyl import max_element
 
@@ -60,14 +60,16 @@ def test_full_suite_passes_at_rank_five(capsys, monkeypatch):
     # the CLI prints discrepancy records to stderr, so an empty stderr means none
     fixed_points_by_reachability.cache_clear()
     reachable_masks.cache_clear()
-    reachable_sets.cache_clear()
     fixed_points = _CountedClear(fixed_points_by_reachability)
     passes = _CountedClear(reachable_masks)
-    walks = _CountedClear(reachable_sets)
-    counted = {fixed_points_by_reachability: fixed_points, reachable_masks: passes,
-               reachable_sets: walks}
+    counted = {fixed_points_by_reachability: fixed_points, reachable_masks: passes}
     monkeypatch.setattr(verify, "UNIT_CACHES",
                         tuple(counted.get(c, c) for c in verify.UNIT_CACHES))
+
+    def listed(S, k):
+        raise AssertionError("the sweep listed reachable sets as tuples")
+
+    monkeypatch.setattr(hesscomb.reach, "reachable_sets", listed)
     code = main(["verify", "--n", "5"])
     out, err = capsys.readouterr()
     summary = json.loads(out)
@@ -77,11 +79,9 @@ def test_full_suite_passes_at_rank_five(capsys, monkeypatch):
     assert err == ""
     assert out == GOLDEN_N5.read_text(encoding="utf-8")
     # each fixed point set is built once: 42 h times 120 v; the reachable
-    # sets are found in one pass per class, 945 of them, and listed as
-    # tuples once per class and k: 945 classes times k = 1..4
+    # sets are found in one pass per class, 945 of them, and read as masks
     assert fixed_points.total_misses() == 42 * 120
     assert passes.total_misses() == 945
-    assert walks.total_misses() == 945 * 4
 
 
 # Every lru_cache of the package that outlives a verify unit, with its key.
@@ -321,7 +321,9 @@ MUTANTS = {
     "hessenberg-length": ("hessenberg_length", lambda real: lambda w, h: length(w)),
     "interval": ("class_of", lambda real: lambda S: real(S) - {max_element(S)}),
     "inversion-root-action": ("inversion_set", lambda real: lambda w: real(w) - {(1, 2)}),
-    "j-set-formula": ("reachable_tuples", lambda real: lambda w, h, k: real(w, h, k)[:-1]),
+    # no reachable (n - 1)-set
+    "j-set-formula": ("reachable_masks",
+                      lambda real: lambda S: (*real(S)[:-2], frozenset(), real(S)[-1])),
     "largest-source-reach": ("largest_source", lambda real: lambda S: min(sources(S))),
     "main-theorem": ("fixed_points_by_reachability", lambda real: lambda w, h: real(w, h) - {w}),
     "minimal-inversions": ("min_element", lambda real: max_element),

@@ -489,6 +489,14 @@ class TestInducedSubset:
         with pytest.raises(ValueError):
             induced_subset(WeylSubset(S_EXAMPLE, H_EXAMPLE), 0)
 
+    def test_a_cycle_that_survives_the_deletion_is_bad_input(self):
+        # 3 -> 1 against 1 -> 2 -> 3; deleting 4 keeps that cycle
+        S = WeylSubset(frozenset({(1, 3)}), (4, 4, 4, 4))
+        with pytest.raises(ValueError, match=r"S = \[\(1, 3\)\] has a directed cycle"):
+            induced_subset(S, 4)
+        # deleting a vertex of the cycle leaves a Weyl-type subset
+        assert induced_subset(S, 2) == WeylSubset(frozenset({(1, 2)}), (3, 3, 3))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_orientation_restriction(self, n):
         # deleting a vertex from the oriented graph and reading the subset
@@ -605,10 +613,10 @@ def test_class_invariants_survive_optimized_mode():
         attempt(weyl.min_element, WeylSubset(frozenset(), (1, 2, 3)))
         weyl._peel = lambda before, after: list(range(len(before) - 1, 0, -1))
         attempt(weyl.min_element, WeylSubset(frozenset({(1, 2)}), (2, 2)))
-        # deleting vertex 4 leaves {(1, 3)} in h = (3, 3, 3), whose complement
-        # is not closed; a closure test that always fails reaches the others
-        attempt(lambda S: weyl.induced_subset(S, 4), WeylSubset(frozenset({(1, 3)}), (3, 3, 3, 4)))
+        # a closure test that always fails reaches the closure checks; the
+        # empty S is acyclic, so induced_subset blames itself, not S
         weyl._closure_violation = lambda inside, selected: ((1, 2), (2, 3), "subset")
+        attempt(lambda S: weyl.induced_subset(S, 4), WeylSubset(frozenset(), (3, 3, 3, 4)))
         attempt(lambda h: weyl.weyl_subset_of((1, 2), h), (2, 2))
         attempt(weyl.enumerate_weyl_subsets, (2, 2))
         # h = (1, 2) has one class, S_2 with maximum (2, 1); the identity
