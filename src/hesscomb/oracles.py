@@ -4,6 +4,15 @@ cover closure for Bruhat order, definition filters for classes and weak
 intervals, pairing enumeration for set reachability, and orientation
 enumeration with an explicit cycle check.  Exponential on purpose; hard
 caps keep them honest.
+
+The two definition filters test every permutation of the rank at once:
+each ANDs the definition columns of perms.root_columns (the rows of the
+w that invert each positive root) and their complements.  The class of S
+takes the column of each root of S and the complement of the column of
+each other selected root; the weak interval [lo, hi] takes the columns
+of N(lo) and the complements of the columns outside N(hi).  The cover
+closure is kept as rows too, row i holding the permutations above
+all_perms(n)[i].
 """
 
 from __future__ import annotations
@@ -13,13 +22,21 @@ from functools import lru_cache
 from typing import Iterable
 
 from .hessenberg import Hessenberg, hessenberg_roots
-from .perms import Perm, all_perms, inversion_set, length
+from .perms import (
+    Perm,
+    all_perms,
+    inversion_bits,
+    inversion_set,
+    length,
+    positive_roots,
+    row_members,
+)
 from .reach import is_reachable
 from .weyl import WeylSubset, is_acyclic
 
 
 @lru_cache(maxsize=None)
-def _cover_closure(n: int) -> tuple[dict[Perm, int], list[int]]:
+def _cover_closure(n: int) -> tuple[dict[Perm, int], tuple[int, ...]]:
     """Index and upward-closure bitmasks of the cover relation u -> u t,
     t a transposition raising length by exactly one."""
     perms = all_perms(n)
@@ -37,7 +54,15 @@ def _cover_closure(n: int) -> tuple[dict[Perm, int], list[int]]:
                 if length(cover) == lp + 1:
                     bits |= above[index[cover]]
         above[index[p]] = bits
-    return index, above
+    return index, tuple(above)
+
+
+def bruhat_rows_by_covers(n: int) -> tuple[int, ...]:
+    """Row i has bit j set when all_perms(n)[i] <= all_perms(n)[j] in the
+    closure of covers."""
+    if n > 6:
+        raise ValueError(f"cover-closure oracle capped at n = 6, got {n}")
+    return _cover_closure(n)[1]
 
 
 def bruhat_leq_by_covers(w: Perm, v: Perm) -> bool:
@@ -45,30 +70,32 @@ def bruhat_leq_by_covers(w: Perm, v: Perm) -> bool:
     n = len(w)
     if len(v) != n:
         raise ValueError(f"size mismatch: {n} vs {len(v)}")
-    if n > 6:
-        raise ValueError(f"cover-closure oracle capped at n = 6, got {n}")
-    index, above = _cover_closure(n)
+    above = bruhat_rows_by_covers(n)
+    index = _cover_closure(n)[0]
     return bool(above[index[w]] >> index[v] & 1)
 
 
 def class_by_filter(S: WeylSubset) -> frozenset[Perm]:
     """The class of S straight from its definition: filter the symmetric
-    group on N(w) & (selected roots) = S."""
+    group on N(w) & (selected roots) = S, as the AND of the definition
+    columns of the roots of S and of the complements of the columns of the
+    other selected roots."""
     n = len(S.h)
     if n > 7:
         raise ValueError(f"definition filter capped at n = 7, got {n}")
-    allowed = hessenberg_roots(S.h)
-    return frozenset(
-        w for w in all_perms(n) if inversion_set(w) & allowed == S.roots
-    )
+    perms = all_perms(n)
+    bits = inversion_bits(n, S.roots, hessenberg_roots(S.h) - S.roots)
+    return frozenset(perms[x] for x in row_members(bits))
 
 
 def weak_interval(lo: Perm, hi: Perm) -> frozenset[Perm]:
-    """All v with N(lo) contained in N(v) contained in N(hi)."""
-    lo_inv, hi_inv = inversion_set(lo), inversion_set(hi)
-    return frozenset(
-        v for v in all_perms(len(lo)) if lo_inv <= inversion_set(v) <= hi_inv
-    )
+    """All v with N(lo) contained in N(v) contained in N(hi): the AND of the
+    definition columns of N(lo) and of the complements of the columns of
+    the positive roots outside N(hi)."""
+    n = len(lo)
+    perms = all_perms(n)
+    bits = inversion_bits(n, inversion_set(lo), positive_roots(n) - inversion_set(hi))
+    return frozenset(perms[x] for x in row_members(bits))
 
 
 def set_reachable_by_enumeration(

@@ -13,12 +13,20 @@ lexicographic order, and prefix_listing_json grows that listing straight
 into its JSON text: one growth builds both kinds of row, from per-value
 atoms (1-tuples, or text pieces), and since it orders the rows by their
 values alone, the text rows come out in lexicographic order too.
+
+A set of permutations of one rank n is also held as a row: an int whose
+bit i stands for all_perms(n)[i].  prefix_bits reads a family of prefix
+sets as its row, grown as prefix_listing grows; root_columns holds, for
+each positive root, the row of the permutations that invert it, and
+inversion_bits intersects columns, so a filter on inversion sets over all
+n! permutations is a few ANDs of rows.  row_members lists a row's bits.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -133,6 +141,55 @@ def inversion_set(w: Perm) -> frozenset[Root]:
     )
 
 
+@lru_cache(maxsize=None)
+def root_columns(n: int) -> dict[Root, int]:
+    """For each positive root (i, j), the row of the w with w(i) > w(j):
+    bit x is set when all_perms(n)[x] inverts (i, j).  Read straight from
+    that definition, not from inversion_set, once per rank.
+
+    >>> root_columns(2)  # all_perms(2) is ((1, 2), (2, 1))
+    {(1, 2): 2}
+    """
+    perms = all_perms(n)
+    # the row's binary digits, highest index first
+    return {(i, j): int("".join("1" if w[i - 1] > w[j - 1] else "0" for w in reversed(perms)), 2)
+            for i in range(1, n) for j in range(i + 1, n + 1)}
+
+
+def inversion_bits(n: int, inside: Iterable[Root], outside: Iterable[Root] = ()) -> int:
+    """The row of the w of rank n whose inversion set holds every root of
+    inside and no root of outside: the AND of the columns of inside and of
+    the complements of the columns of outside.  No roots give all n! bits.
+
+    >>> inversion_bits(3, [(1, 2)], [(2, 3)])  # (2, 1, 3) and (3, 1, 2): bits 2 and 4
+    20
+    """
+    columns = root_columns(n)
+    bits = (1 << factorial(n)) - 1
+    for r in inside:
+        bits &= columns[r]
+    for r in outside:
+        bits &= ~columns[r]
+    return bits
+
+
+def row_members(bits: int) -> list[int]:
+    """The increasing positions of the set bits of a row.  Unlike
+    mask_members it is not memoised, since rows span n! bits and seldom
+    recur; the positions are found in the row's binary text.
+
+    >>> row_members(0b10110)
+    [1, 2, 4]
+    """
+    digits = bin(bits)[:1:-1]  # digit x is bit x
+    members = []
+    x = digits.find("1")
+    while x >= 0:
+        members.append(x)
+        x = digits.find("1", x + 1)
+    return members
+
+
 def length(w: Perm) -> int:
     """The number of inversions of w, counted on a mask of the values seen
     so far: each value x is inverted with the larger values before it.  It
@@ -210,6 +267,38 @@ def _grow(allowed: Sequence[Iterable[int]], first: Sequence, rest: Sequence, end
                            for s in suffixes.get(mask | 1 << v, ())]
                     for mask in (allowed[k - 1] if k else (0,))}
     return suffixes.get(0, [])
+
+
+def prefix_bits(allowed: Sequence[Iterable[int]]) -> int:
+    """The row of the set that prefix_listing(allowed) lists: bit i stands
+    for all_perms(n)[i].  It is grown from the back as the listing is, each
+    suffix set held as one int over the lexicographic index of the
+    permutations of the values it places.  Among those, the suffixes that
+    start with the r-th smallest value left take the r-th block of
+    (n - k - 1)! indices, so a suffix entering after a k-set is shifted by
+    r (n - k - 1)!.  Rank 0 raises ValueError, as prefix_listing does.
+
+    >>> prefix_bits([{0b10, 0b100}, {0b110}])  # (1, 2) and (2, 1)
+    3
+    >>> prefix_bits([{0b10, 0b1000}, {0b110}, {0b1110}])  # (1, 2, 3) alone
+    1
+    """
+    n = len(allowed)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    full = (1 << n + 1) - 2
+    suffixes = {full: 1} if full in allowed[-1] else {}
+    for k in range(n - 1, -1, -1):
+        block = factorial(n - k - 1)
+        rows = {}
+        for mask in allowed[k - 1] if k else (0,):
+            row = 0
+            for r, v in enumerate(mask_members(full & ~mask)):
+                row |= suffixes.get(mask | 1 << v, 0) << r * block
+            if row:
+                rows[mask] = row
+        suffixes = rows
+    return suffixes.get(0, 0)
 
 
 def prefix_listing(allowed: Sequence[Iterable[int]]) -> list[Perm]:

@@ -4,11 +4,18 @@ Named property checks swept over all Hessenberg functions of a given rank.
 Every check either passes silently or reports failing (n, h, S, operation)
 records; the CLI `verify` command aggregates them into a summary.  Checks
 are registered under stable kebab-case names so a single one can be run in
-isolation.  The checks take Bruhat order from orders.bruhat_interval, the
-order of the interval route, the rank-global ones as up-rows of [w, w0];
-orders.bruhat_leq is tested on its own.  A unit of work is one
-rank-global check, or one Hessenberg function h with every requested per-h
-check run on it in name order, so the checks on one h share the caches of
+isolation.  The rank-global order checks read each order as rows, ints
+whose bit i stands for all_perms(n)[i], built once per check: the Bruhat
+up-row of w is perms.prefix_bits of orders.bruhat_family(w, w0), the
+family the interval route lists, and the weak up- and down-rows of u are
+ANDs of the root columns of perms.root_columns over N(u) and over the
+complements of the other columns.  They decide no pair alone and list no
+Bruhat interval; orders.bruhat_leq is tested on its own.  The per-h checks
+take Bruhat order from orders.bruhat_interval; minimal-inversions and the
+class filter of oracles read the same columns, and j-set-formula computes
+its J-sets once per class maximum.  A unit of work is one rank-global
+check, or one Hessenberg function h with every requested per-h check run
+on it in name order, so the checks on one h share the caches of
 the fixed point sets and reachable sets of its classes.  No key of those
 caches recurs on another h, so they end with their unit: UNIT_CACHES lists
 them, and each per-h unit clears them when it ends.  A CLI command is a
@@ -21,17 +28,20 @@ Verdict protocol: a check is a generator over one rank n (registered with
 per_h=False) or one Hessenberg function h of rank n.  It yields one
 (S, ok) verdict per checked instance, where S is the Weyl-type subset the
 instance belongs to, or None when the instance covers a whole rank or a
-whole h.  The `_check` decorator registers the generator under its name and
-turns it into a callable returning (checked, failures): the number of
-verdicts, and one record per verdict with ok false.
+whole h; or it yields a batch (S, count, failed), count verdicts on S of
+which failed are false, as a row check does for each row.  The `_check`
+decorator registers the generator under its name and turns it into a
+callable returning (checked, failures): the number of verdicts, and one
+record per false verdict, in the order they were yielded.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from .fixed_points import (
     fixed_points_by_interval,
@@ -49,20 +59,24 @@ from .hessenberg import (
 )
 from .oracles import (
     acyclic_orientations_by_enumeration,
-    bruhat_leq_by_covers,
+    bruhat_rows_by_covers,
     class_by_filter,
 )
-from .orders import bruhat_interval, ktuple_leq, sort_action, weak_left_leq
+from .orders import bruhat_family, bruhat_interval, ktuple_leq, sort_action
 from .perms import (
+    Perm,
     all_perms,
     apply_to_root,
     compose,
     front_cycle,
+    inversion_bits,
     inversion_set,
     is_positive,
     length,
     longest_element,
     positive_roots,
+    prefix_bits,
+    row_members,
 )
 from .reach import is_reachable, largest_source, reachability_table, reachable_masks, sources
 from .weyl import (
@@ -89,7 +103,7 @@ UNIT_CACHES = (
 
 Failure = dict
 CheckResult = tuple[int, list[Failure]]
-Verdicts = Iterator[tuple[Optional[WeylSubset], bool]]
+Verdicts = Iterator[Union[tuple[Optional[WeylSubset], bool], tuple[Optional[WeylSubset], int, int]]]
 
 GLOBAL_CHECKS: dict[str, Callable[[int], CheckResult]] = {}
 PER_H_CHECKS: dict[str, Callable[[int, Hessenberg], CheckResult]] = {}
@@ -114,10 +128,15 @@ def _check(name: str, per_h: bool = True):
             # h is empty for a rank-global check
             checked = 0
             failures = []
-            for S, ok in verdicts(n, *h):
-                checked += 1
-                if not ok:
-                    failures.append(_fail(n, name, *h, S=S))
+            for verdict in verdicts(n, *h):
+                if len(verdict) == 2:  # (S, ok): one verdict
+                    S, ok = verdict
+                    count, failed = 1, not ok
+                else:  # (S, count, failed): a batch of them
+                    S, count, failed = verdict
+                checked += count
+                if failed:
+                    failures.extend(_fail(n, name, *h, S=S) for _ in range(failed))
             return checked, failures
 
         (PER_H_CHECKS if per_h else GLOBAL_CHECKS)[name] = run
@@ -156,48 +175,60 @@ def _enumeration_count(n: int) -> Verdicts:
 
 def _bruhat_up_rows(n: int) -> list[int]:
     """Row i has bit j set when all_perms(n)[i] <= all_perms(n)[j] in Bruhat
-    order: the members of bruhat_interval(all_perms(n)[i], w0)."""
-    index = {v: j for j, v in enumerate(all_perms(n))}
+    order: the index reading of bruhat_family(all_perms(n)[i], w0)."""
     w0 = longest_element(n)
-    return [sum(1 << index[v] for v in bruhat_interval(w, w0)) for w in all_perms(n)]
+    return [prefix_bits(bruhat_family(w, w0)) for w in all_perms(n)]
+
+
+def _weak_up_rows(n: int) -> list[int]:
+    """Row i has bit j set when N(all_perms(n)[i]) lies in N(all_perms(n)[j]):
+    the AND of the columns of N(all_perms(n)[i])."""
+    return [inversion_bits(n, inversion_set(u)) for u in all_perms(n)]
+
+
+def _weak_down_rows(n: int) -> list[int]:
+    """Row i has bit j set when N(all_perms(n)[j]) lies in N(all_perms(n)[i]):
+    the AND of the complements of the columns outside N(all_perms(n)[i])."""
+    pos = positive_roots(n)
+    return [inversion_bits(n, (), pos - inversion_set(w)) for w in all_perms(n)]
 
 
 @_check("bruhat-partial-order", per_h=False)
 def _bruhat_partial_order(n: int) -> Verdicts:
-    # one verdict per pair covers reflexivity, antisymmetry and transitivity at once
+    # one verdict per pair covers reflexivity, antisymmetry and transitivity
+    # at once: a pair (i, j) outside row i fails only when i == j, and a pair
+    # j != i inside it when row j holds i or a bit outside row i
     up = _bruhat_up_rows(n)
     for i, above_i in enumerate(up):
-        for j, above_j in enumerate(up):
-            if above_i >> j & 1:
-                yield None, (i == j or not above_j >> i & 1) and not above_j & ~above_i
-            else:
-                yield None, i != j
+        escape = ~above_i | 1 << i
+        failed = sum(1 for j in row_members(above_i & ~(1 << i)) if up[j] & escape)
+        yield None, len(up), failed + 1 - (above_i >> i & 1)
 
 
 @_check("bruhat-oracle", per_h=False)
 def _bruhat_oracle(n: int) -> Verdicts:
-    perms = all_perms(n)
-    for w, above in zip(perms, _bruhat_up_rows(n)):
-        for j, v in enumerate(perms):
-            yield None, bool(above >> j & 1) == bruhat_leq_by_covers(w, v)
+    count = math.factorial(n)
+    for above, witness in zip(_bruhat_up_rows(n), bruhat_rows_by_covers(n), strict=True):
+        yield None, count, (above ^ witness).bit_count()
 
 
 @_check("weak-implies-bruhat", per_h=False)
 def _weak_implies_bruhat(n: int) -> Verdicts:
-    perms = all_perms(n)
-    for u, above in zip(perms, _bruhat_up_rows(n)):
-        for j, v in enumerate(perms):
-            yield None, not weak_left_leq(u, v) or bool(above >> j & 1)
+    count = math.factorial(n)
+    for weak, above in zip(_weak_up_rows(n), _bruhat_up_rows(n), strict=True):
+        yield None, count, (weak & ~above).bit_count()
 
 
 @_check("weak-order-reversal", per_h=False)
 def _weak_order_reversal(n: int) -> Verdicts:
-    perms = all_perms(n)
-    w0 = longest_element(n)
-    flips = [compose(w0, v) for v in perms]
-    for u, flip_u in zip(perms, flips):
-        for v, flip_v in zip(perms, flips):
-            yield None, weak_left_leq(u, v) == weak_left_leq(flip_v, flip_u)
+    # w0 reverses values, so all_perms(n)[x] times w0 on the left is
+    # all_perms(n)[n! - 1 - x]: v lies above u exactly when w0 v lies below
+    # w0 u, that is when the bit-reversed up-row of u is the down-row of w0 u
+    count = math.factorial(n)
+    downs = _weak_down_rows(n)
+    for x, up in enumerate(_weak_up_rows(n)):
+        reversed_up = int(format(up, f"0{count}b")[::-1], 2)
+        yield None, count, (reversed_up ^ downs[count - 1 - x]).bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +304,10 @@ def _complement_bijection(n: int, h: Hessenberg) -> Verdicts:
 
 @_check("minimal-inversions")
 def _minimal_inversions(n: int, h: Hessenberg) -> Verdicts:
+    # the y with S inside N(y) must all have N(min) inside N(y)
     for S in enumerate_weyl_subsets(h):
-        low = inversion_set(min_element(S))
-        yield S, all(
-            low <= inversion_set(y)
-            for y in all_perms(n)
-            if S.roots <= inversion_set(y)
-        )
+        above_min = inversion_bits(n, inversion_set(min_element(S)))
+        yield S, not inversion_bits(n, S.roots) & ~above_min
 
 
 @_check("orientation-bijection")
@@ -336,20 +364,32 @@ def _source_realization(n: int, h: Hessenberg) -> Verdicts:
         yield S, {w.index(1) + 1 for w in class_of(S)} == sources(S)
 
 
+@lru_cache(maxsize=None)
+def _j_sets(m: Perm) -> tuple[frozenset[int], ...]:
+    """Entry k - 1, for k = 1, ..., n - 1: the k-sets T (bit x for x in T)
+    with sorted m(T) above sorted m({1, ..., k}), the J-sets of the class
+    maximum m.  They depend on m alone, so the cache holds at most n! per
+    rank, and every h whose classes have maximum m reads them."""
+    n = len(m)
+    sets = []
+    for k in range(1, n):
+        base = sort_action(m, tuple(range(1, k + 1)))
+        sets.append(frozenset(
+            sum(1 << x for x in t)
+            for t in combinations(range(1, n + 1), k)
+            if ktuple_leq(base, sort_action(m, t))
+        ))
+    return tuple(sets)
+
+
 @_check("j-set-formula")
 def _j_set_formula(n: int, h: Hessenberg) -> Verdicts:
     for S in enumerate_weyl_subsets(h):
-        m = max_element(S)
-        cls = class_of(S)
+        formulas = _j_sets(max_element(S))
+        reached = [reachable_masks(weyl_subset_of(w, h)) for w in class_of(S)]
         for k in range(1, n):
-            base = sort_action(m, tuple(range(1, k + 1)))
-            formula = frozenset(
-                sum(1 << x for x in t)
-                for t in combinations(range(1, n + 1), k)
-                if ktuple_leq(base, sort_action(m, t))
-            )
-            for w in cls:
-                yield S, reachable_masks(weyl_subset_of(w, h))[k] == formula
+            for masks in reached:
+                yield S, masks[k] == formulas[k - 1]
 
 
 @_check("main-theorem")

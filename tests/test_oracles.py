@@ -4,14 +4,15 @@ import math
 
 import pytest
 
-from hesscomb.hessenberg import enumerate_hessenberg
+from hesscomb.hessenberg import enumerate_hessenberg, hessenberg_roots
 from hesscomb.oracles import (
     acyclic_orientations_by_enumeration,
     bruhat_leq_by_covers,
     class_by_filter,
     set_reachable_by_enumeration,
+    weak_interval,
 )
-from hesscomb.perms import all_perms, identity, length, longest_element
+from hesscomb.perms import all_perms, identity, inversion_set, length, longest_element
 from hesscomb.weyl import WeylSubset, enumerate_weyl_subsets
 
 
@@ -62,10 +63,32 @@ class TestClassFilter:
             assert total == math.factorial(n)
             assert union == set(all_perms(n))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_columns_match_the_inversion_set_filter(self, n):
+        # the filter as it once ran, each permutation's N(w) & R read off
+        # inversion_set, grouped once per h
+        for h in enumerate_hessenberg(n):
+            selected = hessenberg_roots(h)
+            by_roots = {}
+            for w in all_perms(n):
+                by_roots.setdefault(inversion_set(w) & selected, set()).add(w)
+            classes = enumerate_weyl_subsets(h)
+            assert len(classes) == len(by_roots)
+            for S in classes:
+                assert class_by_filter(S) == by_roots[S.roots]
+
     def test_cap(self):
         # refused before any of the 8! permutations is made
         with pytest.raises(ValueError, match="definition filter capped at n = 7, got 8"):
             class_by_filter(WeylSubset(frozenset(), (8,) * 8))
+
+
+def test_weak_interval_matches_the_inversion_set_filter():
+    perms = all_perms(4)
+    for lo in perms:
+        for hi in perms:
+            assert weak_interval(lo, hi) == {
+                v for v in perms if inversion_set(lo) <= inversion_set(v) <= inversion_set(hi)}
 
 
 class TestPairingOracle:

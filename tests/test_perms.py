@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import hesscomb
 from hesscomb.hessenberg import hessenberg_length
-from hesscomb.orders import bruhat_leq
+from hesscomb.orders import bruhat_family, bruhat_interval, bruhat_leq
 from hesscomb.perms import (
     all_perms,
     apply_to_root,
@@ -21,13 +21,17 @@ from hesscomb.perms import (
     front_cycle,
     identity,
     inverse,
+    inversion_bits,
     inversion_set,
     is_positive,
     length,
     longest_element,
     positive_roots,
+    prefix_bits,
     prefix_listing,
     prefix_listing_json,
+    root_columns,
+    row_members,
     validate_perm,
 )
 
@@ -242,6 +246,63 @@ def test_prefix_listing_json_is_the_encoded_listing(allowed):
 def test_prefix_listing_json_pins():
     assert prefix_listing_json([{0b10}]) == "[[1]]"
     assert prefix_listing_json([{0b10}, set()]) == "[]"
+
+
+def _row(perms, chosen):
+    # the row of a set of permutations of one rank, by a direct index scan
+    return sum(1 << i for i, u in enumerate(perms) if u in chosen)
+
+
+@seed(31)
+@given(prefix_families())
+def test_prefix_bits_is_the_listing_as_a_row(allowed):
+    # the families of the listing tests: dead ends, a missing level, and n = 1
+    listing = prefix_listing(allowed)
+    bits = prefix_bits(allowed)
+    assert bits == _row(all_perms(len(allowed)), set(listing))
+    assert [all_perms(len(allowed))[i] for i in row_members(bits)] == listing
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_prefix_bits_reads_every_upper_bruhat_interval(n):
+    perms = all_perms(n)
+    w0 = longest_element(n)
+    for w in perms:
+        assert prefix_bits(bruhat_family(w, w0)) == _row(perms, bruhat_interval(w, w0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_root_columns_are_the_definition(n):
+    perms = all_perms(n)
+    columns = root_columns(n)
+    assert set(columns) == positive_roots(n)
+    for x, w in enumerate(perms):
+        assert {r for r, column in columns.items() if column >> x & 1} == scan_inversions(w)
+    pos = sorted(positive_roots(n))
+    for inside, outside in [((), ()), (pos[:1], pos[-1:]), (pos[::2], pos[1::2])]:
+        assert inversion_bits(n, inside, outside) == _row(perms, {
+            w for w in perms
+            if set(inside) <= scan_inversions(w) and not set(outside) & scan_inversions(w)})
+
+
+def test_row_members_pins():
+    assert row_members(0) == []
+    assert row_members(1) == [0]
+    assert row_members(1 << 5039 | 0b101) == [0, 2, 5039]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_w0_times_a_permutation_mirrors_its_index(n):
+    # the weak-order-reversal check reverses rows by this identity
+    perms = all_perms(n)
+    w0 = longest_element(n)
+    last = math.factorial(n) - 1
+    assert all(perms[last - i] == compose(w0, u) for i, u in enumerate(perms))
+
+
+def test_prefix_bits_rejects_rank_zero():
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        prefix_bits([])
 
 
 @pytest.mark.parametrize("grow", [prefix_listing, prefix_listing_json])

@@ -15,9 +15,16 @@ from hesscomb import verify
 from hesscomb.cli import main
 from hesscomb.fixed_points import fixed_points_by_reachability, interval_family
 from hesscomb.hessenberg import enumerate_hessenberg, hessenberg_roots
-from hesscomb.oracles import _cover_closure
-from hesscomb.orders import _gale_table, bruhat_interval, bruhat_leq
-from hesscomb.perms import all_perms, identity, length, longest_element, mask_members
+from hesscomb.oracles import _cover_closure, bruhat_rows_by_covers
+from hesscomb.orders import _gale_table, bruhat_interval, bruhat_leq, weak_left_leq
+from hesscomb.perms import (
+    all_perms,
+    identity,
+    length,
+    longest_element,
+    mask_members,
+    positive_roots,
+)
 from hesscomb.reach import reachable_masks, sources
 from hesscomb.verify import GLOBAL_CHECKS, MAX_N, PER_H_CHECKS, lemma_names, run_suite
 from hesscomb.weyl import max_element
@@ -96,6 +103,8 @@ KEPT_CACHES = {
     "perms.all_perms": "n: the rank",
     "perms.inversion_set": "w: a permutation, whatever the h",
     "perms.mask_members": "mask: at most 2^n for the largest rank n used",
+    "perms.root_columns": "n: the rank",
+    "verify._j_sets": "m: a class maximum, at most n! per rank",
 }
 
 
@@ -255,14 +264,41 @@ def test_failure_records(monkeypatch):
         assert record["operation"] == "interval"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_bruhat_up_rows_match_bruhat_leq_and_cover_closure(n):
     perms = all_perms(n)
     by_leq = [sum(1 << j for j, v in enumerate(perms) if bruhat_leq(w, v)) for w in perms]
     index, above = _cover_closure(n)
     assert index == {p: j for j, p in enumerate(perms)}
-    assert verify._bruhat_up_rows(n) == by_leq == above
+    assert verify._bruhat_up_rows(n) == by_leq == list(above) == list(bruhat_rows_by_covers(n))
     assert "bruhat_leq" not in vars(verify)
+
+
+def test_rank_seven_bruhat_rows_list_no_interval(monkeypatch):
+    # the rows are index readings of bruhat_family: no listing, and no
+    # bruhat_interval entry, which once held the 550 MB of a rank-7 check
+    def listed(*args):
+        raise AssertionError("the Bruhat up-rows listed an interval")
+
+    for module in (hesscomb.perms, hesscomb.orders):
+        monkeypatch.setattr(module, "prefix_listing", listed)
+    monkeypatch.setattr(hesscomb.orders, "bruhat_interval", listed)
+    monkeypatch.setattr(verify, "bruhat_interval", listed)
+    bruhat_interval.cache_clear()
+    up = verify._bruhat_up_rows(7)
+    assert len(up) == 5040
+    assert up[0] == (1 << 5040) - 1  # the identity lies below every w
+    assert up[-1] == 1 << 5039  # only w0 lies above w0
+    assert bruhat_interval.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_weak_rows_match_weak_left_leq(n):
+    perms = all_perms(n)
+    ups = [sum(1 << j for j, v in enumerate(perms) if weak_left_leq(u, v)) for u in perms]
+    downs = [sum(1 << j for j, v in enumerate(perms) if weak_left_leq(v, u)) for u in perms]
+    assert verify._weak_up_rows(n) == ups
+    assert verify._weak_down_rows(n) == downs
 
 
 # failures at rank 3 when the identity's row loses the bit of w0: the pair
@@ -288,12 +324,9 @@ def test_row_checks_catch_a_missing_bit(monkeypatch, name):
     assert discrepancies == [{"n": 3, "h": None, "S": None, "operation": name}] * failures
 
 
-def _drop_w0_above_identity(real):
-    # the identity's up-row loses w0, as in ROW_FAILURES
-    def mutant(lo, hi):
-        interval = real(lo, hi)
-        return interval - {hi} if lo == identity(len(lo)) != hi else interval
-    return mutant
+def _drop_w0_from_rows(real):
+    # every index reading loses the bit of w0, the last permutation
+    return lambda allowed: real(allowed) & ~(1 << math.factorial(len(allowed)) - 1)
 
 
 def _orientation_ignored(real):
@@ -305,8 +338,8 @@ def _orientation_ignored(real):
 # real function into a broken one.  Each breaks the library function that
 # its check tests, never the check itself or its witness.
 MUTANTS = {
-    "bruhat-oracle": ("bruhat_interval", _drop_w0_above_identity),
-    "bruhat-partial-order": ("bruhat_interval", _drop_w0_above_identity),
+    "bruhat-oracle": ("prefix_bits", _drop_w0_from_rows),
+    "bruhat-partial-order": ("prefix_bits", _drop_w0_from_rows),
     "cell-translation": ("fixed_points_by_translation", lambda real: lambda v, h: real(v, h) - {v}),
     "complement-bijection": ("complement", lambda real: lambda S: S),
     # composing in the wrong order
@@ -343,10 +376,11 @@ MUTANTS = {
                            lambda real: lambda w, h: bruhat_interval(w, longest_element(len(w)))),
     # the first vertex deleted, whichever was asked for
     "vertex-deletion": ("delete_vertex", lambda real: lambda h, k: real(h, 1)),
-    "weak-implies-bruhat": ("bruhat_interval", _drop_w0_above_identity),
-    # the identity taken for the top
-    "weak-order-reversal": ("weak_left_leq",
-                            lambda real: lambda u, v: real(u, v) or v == identity(len(v))),
+    "weak-implies-bruhat": ("prefix_bits", _drop_w0_from_rows),
+    # the identity taken for the top: every positive root inverted
+    "weak-order-reversal": ("inversion_set",
+                            lambda real: lambda w: positive_roots(len(w))
+                            if w == identity(len(w)) else real(w)),
 }
 
 
@@ -397,7 +431,8 @@ RANK_3_FAILURES = (
 def test_failure_records_keep_their_order(monkeypatch):
     # one rank-global and two per-h checks fail; with one unit per h the two
     # per-h checks interleave in the run, so only the aggregation orders them
-    monkeypatch.setattr("hesscomb.verify.bruhat_leq_by_covers", lambda w, v: w == v)
+    monkeypatch.setattr("hesscomb.verify.bruhat_rows_by_covers",
+                        lambda n: [1 << i for i in range(math.factorial(n))])
     monkeypatch.setattr("hesscomb.verify.class_by_filter", lambda S: frozenset())
     monkeypatch.setattr("hesscomb.verify.acyclic_orientations_by_enumeration", lambda h: [])
     serial = run_suite(3)
