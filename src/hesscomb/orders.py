@@ -53,7 +53,8 @@ def ktuple_leq(a: KTuple, b: KTuple) -> bool:
 def bruhat_leq(w: Perm, v: Perm) -> bool:
     """Bruhat order via sorted prefixes: for every k < n the sorted first k
     values of w must be componentwise <= those of v.  A pair-by-pair reference
-    with its own tests; verify and the interval route use bruhat_interval.
+    with its own tests; the CLI and verify's order checks and j-set-formula
+    read bruhat_family, and the other checks bruhat_interval.
     w and v must be permutations of one rank, or ValueError is raised.
 
     >>> bruhat_leq((2, 3, 1, 4), (2, 3, 4, 1))

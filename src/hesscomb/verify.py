@@ -12,8 +12,9 @@ ANDs of the root columns of perms.root_columns over N(u) and over the
 complements of the other columns.  They decide no pair alone and list no
 Bruhat interval; orders.bruhat_leq is tested on its own.  The per-h checks
 take Bruhat order from orders.bruhat_interval; minimal-inversions and the
-class filter of oracles read the same columns, and j-set-formula computes
-its J-sets once per class maximum.  A unit of work is one rank-global
+class filter of oracles read the same columns, and j-set-formula reads
+the J-sets of a class maximum m off orders.bruhat_family(m, w0), pulled
+back through m.  A unit of work is one rank-global
 check, or one Hessenberg function h with every requested per-h check run
 on it in name order, so the checks on one h share the caches of
 the fixed point sets and reachable sets of its classes.  No key of those
@@ -39,8 +40,6 @@ from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Iterator, Optional, Union
 
 from .fixed_points import (
@@ -62,13 +61,14 @@ from .oracles import (
     bruhat_rows_by_covers,
     class_by_filter,
 )
-from .orders import bruhat_family, bruhat_interval, ktuple_leq, sort_action
+from .orders import bruhat_family, bruhat_interval
 from .perms import (
-    Perm,
     all_perms,
     apply_to_root,
     compose,
     front_cycle,
+    image_family,
+    inverse,
     inversion_bits,
     inversion_set,
     is_positive,
@@ -364,28 +364,23 @@ def _source_realization(n: int, h: Hessenberg) -> Verdicts:
         yield S, {w.index(1) + 1 for w in class_of(S)} == sources(S)
 
 
-@lru_cache(maxsize=None)
-def _j_sets(m: Perm) -> tuple[frozenset[int], ...]:
-    """Entry k - 1, for k = 1, ..., n - 1: the k-sets T (bit x for x in T)
-    with sorted m(T) above sorted m({1, ..., k}), the J-sets of the class
-    maximum m.  They depend on m alone, so the cache holds at most n! per
-    rank, and every h whose classes have maximum m reads them."""
-    n = len(m)
-    sets = []
-    for k in range(1, n):
-        base = sort_action(m, tuple(range(1, k + 1)))
-        sets.append(frozenset(
-            sum(1 << x for x in t)
-            for t in combinations(range(1, n + 1), k)
-            if ktuple_leq(base, sort_action(m, t))
-        ))
-    return tuple(sets)
-
-
 @_check("j-set-formula")
 def _j_set_formula(n: int, h: Hessenberg) -> Verdicts:
+    """The reachable k-sets of each w in the class of maximum m, from
+    reach.reachable_masks, against J_k(m): the k-sets T with sorted m(T) at
+    or above sorted m({1, ..., k}) in Gale order.  J_k(m) is read off the
+    prefix family of [m, w0], whose level k - 1 is orders._gale_table of the
+    masks of m[:k] and w0[:k]: the k-sets at or above m({1, ..., k}) in Gale
+    order, since every k-set lies at or below w0({1, ..., k}).  Pulled back
+    through m by perms.image_family, those sets are J_k(m).  The
+    reachability route at v = u m is the image of the reachable sets under
+    v, and the interval route the image of the family of [m, w0] under u,
+    so equal families at m make the two routes agree at every v of the
+    class."""
+    w0 = longest_element(n)
     for S in enumerate_weyl_subsets(h):
-        formulas = _j_sets(max_element(S))
+        m = max_element(S)
+        formulas = image_family(bruhat_family(m, w0), inverse(m))
         reached = [reachable_masks(weyl_subset_of(w, h)) for w in class_of(S)]
         for k in range(1, n):
             for masks in reached:

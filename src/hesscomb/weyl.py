@@ -199,11 +199,10 @@ def _closure_violation(
 
 
 def _violation(S: WeylSubset) -> Optional[tuple[Root, Root, str]]:
-    """find_closure_violation for a built S, its roots read as out-masks."""
-    inside = [0] * (S.n + 1)
-    for a, c in S.roots:
-        inside[a] |= 1 << c
-    return _closure_violation(inside, _selected_masks(S.h))
+    """find_closure_violation for a built S: its out-masks are S.before &
+    selected, as min_element reads those of R \\ S off S.after."""
+    selected = _selected_masks(S.h)
+    return _closure_violation(list(map(and_, S.before, selected)), selected)
 
 
 def find_closure_violation(

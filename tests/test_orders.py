@@ -24,6 +24,7 @@ from hesscomb.perms import (
     compose,
     identity,
     image_family,
+    inverse,
     inversion_set,
     longest_element,
     prefix_listing,
@@ -188,6 +189,22 @@ class TestBruhatFamily:
             shift = rng.choice(perms)
             assert bruhat_family(lo, hi) == family_by_filter(lo, hi, identity(n))
             assert image_family(bruhat_family(lo, hi), shift) == family_by_filter(lo, hi, shift)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pull_back_through_m_gives_the_j_sets(self, n):
+        # level k - 1 of [m, w0] pulled back through m holds the k-sets T with
+        # sorted m(T) at or above sorted m({1, ..., k}): the J-sets that
+        # verify's j-set-formula reads, here filtered from every k-set
+        w0 = longest_element(n)
+        for m in all_perms(n):
+            pulled = image_family(bruhat_family(m, w0), inverse(m))
+            for k in range(1, n + 1):
+                base = sort_action(m, tuple(range(1, k + 1)))
+                assert pulled[k - 1] == {
+                    sum(1 << x for x in t)
+                    for t in itertools.combinations(range(1, n + 1), k)
+                    if ktuple_leq(base, sort_action(m, t))
+                }
 
     def test_incomparable_prefixes_give_an_empty_level(self):
         # {2} is not below {1}, while {1, 2} lies below {1, 3}

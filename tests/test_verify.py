@@ -104,7 +104,6 @@ KEPT_CACHES = {
     "perms.inversion_set": "w: a permutation, whatever the h",
     "perms.mask_members": "mask: at most 2^n for the largest rank n used",
     "perms.root_columns": "n: the rank",
-    "verify._j_sets": "m: a class maximum, at most n! per rank",
 }
 
 
